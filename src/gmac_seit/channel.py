@@ -34,7 +34,6 @@ class ChannelConfig:
     p1: float
     p2: float
     noise_correlation: float = 0.0
-    feedback_delay: int = 1
 
     def __post_init__(self):
         for name in ("h11", "h12", "h21", "h22"):
@@ -48,8 +47,6 @@ class ChannelConfig:
             raise ValueError("power budgets must be nonnegative")
         if not -1.0 <= self.noise_correlation <= 1.0:
             raise ValueError("noise_correlation must lie in [-1, 1]")
-        if self.feedback_delay < 1:
-            raise ValueError("feedback_delay must be a positive integer")
 
     # SNR_ji = h_ji^2 * P_i
     @property

@@ -4,6 +4,14 @@ Trials are independent full blocks.  Each trial's randomness is an
 independent stream derived from (seed, trial-index) via SeedSequence spawn
 keys, so results are bit-identical regardless of execution order; the
 aggregation below runs serially in trial order.
+
+run streams the trials through coder.simulate_batch in consecutive chunks
+of nearly equal size.  A chunk holds at most _CHUNK_FLOATS // (n + 3)
+trials, which bounds each of the engine's trials x (n + 3) arrays to
+_CHUNK_FLOATS floats (256 KiB) whatever the trial count.  The coefficient
+schedule and rho* are computed once per run.  Since every trial draws only
+from its own (seed, trial) streams, the report does not depend on how the
+trials are chunked.
 """
 from __future__ import annotations
 
@@ -15,8 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import max_energy_rate
-from .coder import (SchemeParams, TransmissionTrace, expected_energy_rate,
-                    simulate_block)
+from .coder import (SchemeParams, TransmissionTrace, coeff_schedule,
+                    expected_energy_rate, simulate_batch, simulate_block)
+
+_CHUNK_FLOATS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -84,12 +94,25 @@ def _trial_streams(seed: int, trial: int):
     return rng, msg_rng
 
 
-def run_trial(params: SchemeParams, trial: int) -> TransmissionTrace:
-    """One full block with messages drawn uniformly from their index sets."""
+def _trial_inputs(params: SchemeParams, trial: int):
+    """(numpy Generator, (m1, m2)) of one trial, messages uniform on their sets."""
     rng, msg_rng = _trial_streams(params.seed, trial)
     m1 = 1 + msg_rng.randrange(params.messages(1))
     m2 = 1 + msg_rng.randrange(params.messages(2))
+    return rng, (m1, m2)
+
+
+def run_trial(params: SchemeParams, trial: int) -> TransmissionTrace:
+    """One full block with messages drawn uniformly from their index sets."""
+    rng, (m1, m2) = _trial_inputs(params, trial)
     return simulate_block(params, m1, m2, rng)
+
+
+def _chunks(trials: int, n: int) -> list[tuple[int, int]]:
+    """Consecutive [lo, hi) trial ranges of near-equal size within the budget."""
+    count = -(-trials // max(1, _CHUNK_FLOATS // (n + 3)))
+    return [(trials * i // count, trials * (i + 1) // count)
+            for i in range(count)]
 
 
 def empirical_energy_rate(trace: TransmissionTrace) -> float:
@@ -107,27 +130,32 @@ def run(sc: SimConfig) -> SimReport:
     sum_e1 = 0.0
     sum_e2 = 0.0
     times = sorted(sc.correlation_times)
-    u_samples = {t: ([], []) for t in times}
-    for trial in range(sc.trials):
-        trace = run_trial(params, trial)
-        if trace.error:
-            n_err += 1
-        if trace.b_hat < sc.target_b - eps:
-            n_out += 1
-        sum_b += trace.b_hat
-        sum_b2 += trace.b_hat * trace.b_hat
-        sum_e1 += trace.energy1
-        sum_e2 += trace.energy2
+    u_samples = {t: [] for t in times}
+    sched = coeff_schedule(params)
+    for lo, hi in _chunks(sc.trials, params.n):
+        rngs, messages = zip(*(_trial_inputs(params, trial)
+                               for trial in range(lo, hi)))
+        batch = simulate_batch(params, sched, messages, rngs)
+        for m_true, m_hat, b_hat, e1, e2 in zip(
+                batch.m_true, batch.m_hat, batch.b_hat, batch.energy1,
+                batch.energy2):
+            if m_hat != m_true:
+                n_err += 1
+            if b_hat < sc.target_b - eps:
+                n_out += 1
+            sum_b += b_hat
+            sum_b2 += b_hat * b_hat
+            sum_e1 += e1
+            sum_e2 += e2
         for t in times:
-            u_samples[t][0].append(trace.u1[t - 1])
-            u_samples[t][1].append(trace.u2[t - 1])
+            u_samples[t].append(batch.u(t))
+        del batch  # free this chunk's arrays before the next is allocated
     k = sc.trials
     mean_b = sum_b / k
     var_b = max(0.0, (sum_b2 - k * mean_b * mean_b) / (k - 1)) if k > 1 else 0.0
     corr_trace = {}
     for t in times:
-        u1 = np.asarray(u_samples[t][0])
-        u2 = np.asarray(u_samples[t][1])
+        u1, u2 = np.concatenate(u_samples[t], axis=1)
         denom = u1.std() * u2.std()
         corr_trace[t] = float(np.mean((u1 - u1.mean()) * (u2 - u2.mean()))
                               / denom) if denom > 0 else 0.0

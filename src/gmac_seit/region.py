@@ -491,6 +491,8 @@ def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     b1g, b2g, rhog, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback, resolution)
+    if not all(np.isfinite(a).all() for a in (r1b, r2b, rsb, bb)):
+        raise ValueError("region bounds overflow float64 at these SNRs")
     # four rate-pair corners of each box's pentagon, each paired with b_max
     c1 = np.clip(rsb - r1b, 0.0, r2b)
     c2 = np.clip(rsb - r2b, 0.0, r1b)

@@ -117,3 +117,32 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["region", "--snr", "10,10,10"])  # not a quadruple
     assert exc.value.code == 2
+
+
+def test_simulate_both_users_zero_snr(tmp_path):
+    # --rate-frac gives rate 0, so each user has one message and nothing
+    # to divide by the zero gain
+    out = tmp_path / "zero.json"
+    assert run_cli(["simulate", "--snr", "0,0,10,10", "--beta", "1,1",
+                    "--rate-frac", "0.5", "--n", "20", "--trials", "4",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["p_error_hat"] == 0.0
+
+
+def test_simulate_one_user_zero_snr(tmp_path):
+    out = tmp_path / "one.json"
+    argv = ["simulate", "--snr", "0,10,10,10", "--beta", "1,1", "--n", "20",
+            "--trials", "4", "--out", str(out)]
+    assert run_cli(argv + ["--rate", "0,0.3"]) == 0
+    assert json.loads(out.read_text())["p_error_hat"] == 0.0
+    # a positive rate needs a positive SNR at the receiver
+    assert run_cli(argv + ["--rate", "0.1,0.3"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_region_non_finite_bounds_rejected(tmp_path):
+    out = tmp_path / "huge.csv"
+    assert run_cli(["region", "--snr", "1e200,1e200,1e200,1e200",
+                    "--res", "4", "--out", str(out)]) == 2
+    assert not out.exists()

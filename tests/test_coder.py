@@ -258,6 +258,108 @@ def test_decode_exact_matches_decoder_path():
             coder.decode(dec, params, uses)
 
 
+def replay_block(params, m1, m2, rng):
+    """One block replayed use by use through the step-level API.
+
+    Returns the trace fields in TransmissionTrace order, plus the final
+    receiver state.
+    """
+    cfg = params.cfg
+    n = params.n
+    z = rng.standard_normal(n + 3)
+    q_ind = rng.standard_normal(n + 3)
+    c = cfg.noise_correlation
+    q = c * z + math.sqrt(1.0 - c * c) * q_ind
+    w = rng.standard_normal(n)
+    xi1, xi2, uses = coder.init_phase(params, m1, m2, z[:3], q[:3])
+    th1, th2 = uses[1].x1, uses[0].x2
+    enc = coder.EncoderState(theta=(th1, th2), xi=(xi1, xi2),
+                             err_norm=[xi1, xi2])
+    dec = fresh_decoder(params, w)
+    nic1 = math.sqrt((1.0 - params.beta1) * cfg.p1)
+    nic2 = math.sqrt((1.0 - params.beta2) * cfg.p2)
+    rows = []
+    for t in range(1, n + 1):
+        x1, x2 = coder.encode_step(enc, dec, params, t)
+        use = channel.step(cfg, x1, x2, z[t + 2], q[t + 2])
+        yp = use.y1 - coder._nic_gain(params) * w[t - 1]
+        a1, a2, v, d1, d2 = coder._update_coeffs(dec, params)
+        enc.err_norm[0] = (enc.err_norm[0] - a1 * yp / v) / d1
+        enc.err_norm[1] = (enc.err_norm[1] - a2 * yp / v) / d2
+        dec = coder.receiver_update(dec, params, use.y1, t)
+        rows.append((x1, x2, use.y1, use.y2,
+                     x1 - nic1 * w[t - 1], x2 - nic2 * w[t - 1]))
+    if max(params.messages(1), params.messages(2)) <= 2**40:
+        m_hat = coder.decode(dec, params, uses)
+    else:
+        m_hat = coder._decode_exact(enc, dec, params, (m1, m2))
+    x1a, x2a, y1a, y2a, u1a, u2a = (np.array(col) for col in zip(*rows))
+    fields = (x1a, x2a, y1a, y2a, u1a, u2a, uses, (m1, m2), m_hat,
+              m_hat != (m1, m2), float(np.mean(y2a**2)),
+              th1 * th1 + float(np.sum(x1a**2)),
+              th2 * th2 + float(np.sum(x2a**2)))
+    return fields, dec
+
+
+def trace_fields(tr):
+    return (tr.x1, tr.x2, tr.y1, tr.y2, tr.u1, tr.u2, tr.init_uses,
+            tr.m_true, tr.m_hat, tr.error, tr.b_hat, tr.energy1, tr.energy2)
+
+
+def as_bits(field):
+    """A trace field in a form whose == compares floats bit for bit."""
+    if isinstance(field, list):  # the three init ChannelUses
+        return [np.array([u.x1, u.x2, u.y1, u.y2, u.z, u.q]).tobytes()
+                for u in field]
+    if isinstance(field, (tuple, bool)):
+        return field
+    return np.asarray(field, dtype=float).tobytes()
+
+
+EQUIVALENCE_CASES = {
+    # decode path near the rate limit, so some trials decode wrongly
+    "decode": make_params(n=24, r1=1.3, r2=1.3, seed=7),
+    # > 2^40 messages: the log-domain _decode_exact path; asymmetric SNRs
+    # and correlated receiver/harvester noise
+    "exact": make_params(n=60, r1=0.8, r2=0.45, beta1=0.9, beta2=0.7,
+                         seed=2, cfg=channel.from_snr(
+                             10, 3, 2, 5, noise_correlation=0.4)),
+    # transmitter 1 sends pure energy (beta1 = 0, rho* = 0)
+    "beta0": make_params(n=30, r1=0.0, r2=0.4, beta1=0.0, beta2=0.9,
+                         seed=4, cfg=channel.from_snr(
+                             8, 2, 1, 1, noise_correlation=-0.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+def test_batched_engine_matches_step_replay(name):
+    params = EQUIVALENCE_CASES[name]
+    trials = 8
+    replays = []
+    for k in range(trials):
+        rng, (m1, m2) = mc._trial_inputs(params, k)
+        replays.append(replay_block(params, m1, m2, rng))
+    sched = coder.coeff_schedule(params)
+    _, dec = replays[0]
+    assert sched.log2_sigma == tuple(dec.log2_sigma)
+    assert sched.corr == dec.corr
+    # batch of one, through simulate_block
+    for k in (0, trials - 1):
+        rng, (m1, m2) = mc._trial_inputs(params, k)
+        got = trace_fields(coder.simulate_block(params, m1, m2, rng))
+        for i, (g, want) in enumerate(zip(got, replays[k][0])):
+            assert as_bits(g) == as_bits(want), (k, i)
+    # the whole set as one batch of eight
+    rngs, messages = zip(*(mc._trial_inputs(params, k) for k in range(trials)))
+    batch = coder.simulate_batch(params, sched, messages, rngs)
+    for k in range(trials):
+        got = trace_fields(batch.trace(k))
+        for i, (g, want) in enumerate(zip(got, replays[k][0])):
+            assert as_bits(g) == as_bits(want), (k, i)
+    if name == "decode":
+        assert any(batch.m_hat[k] != batch.m_true[k] for k in range(trials))
+
+
 def test_error_bound_properties():
     rs = region.solve_rho_star(SYM10, 1.0, 1.0)
     lim = 0.5 * math.log2(1 + 10 * (1 - rs * rs))

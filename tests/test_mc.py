@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -108,3 +109,53 @@ def test_outage_table_csv():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "n,outage_hat"
     assert lines[1] == "10,0.5"
+
+
+def report_json(sc):
+    buf = io.StringIO()
+    mc.run(sc).to_json(buf)
+    return buf.getvalue()
+
+
+def test_report_independent_of_chunking(monkeypatch):
+    sc = make_sc(n=30, trials=9, r=1.0, target_b=35.0,
+                 correlation_times=(1, 15, 30))
+    uses = sc.params.n + 3
+    want = report_json(sc)
+    for budget, sizes in ((1, [1] * 9),  # one trial per chunk
+                          (8 * uses, [4, 5]),  # trials = chunk + 1
+                          (9 * uses, [9])):  # one chunk
+        monkeypatch.setattr(mc, "_CHUNK_FLOATS", budget)
+        assert [hi - lo for lo, hi in mc._chunks(sc.trials, sc.params.n)] \
+            == sizes
+        assert report_json(sc) == want, budget
+
+
+# SHA-256 of SimReport.to_json, recorded with the one-block-at-a-time
+# simulator that preceded the batched engine
+GOLDEN = {
+    # decode path near the rate limit (8 of 25 trials err), correlation trace
+    "decode": (make_sc(n=24, trials=25, r=1.3, seed=7,
+                       correlation_times=(1, 12, 24)),
+               "ed696fb4e94f610e691d8a0e845fb9b9a9762967e4a1c83b3316cc01130c2dbd"),
+    # 112-bit messages: _decode_exact path, asymmetric SNRs
+    "exact": (mc.SimConfig(
+        params=coder.SchemeParams(cfg=channel.from_snr(10, 3, 2, 5), n=80,
+                                  r1=1.4, r2=0.63, beta1=0.9, beta2=0.7,
+                                  seed=3),
+        trials=12, target_b=5.0),
+        "38b47b86a3ce7384222f9db6334af6f388b107753e26ec3a71bbcf46c49da221"),
+    # receiver and harvester noise correlated, with outages
+    "noise_correlation": (mc.SimConfig(
+        params=coder.SchemeParams(
+            cfg=channel.from_snr(10, 10, 10, 10, noise_correlation=0.4),
+            n=30, r1=0.3, r2=0.2, beta1=0.8, beta2=0.6, seed=11),
+        trials=15, target_b=35.0, correlation_times=(2, 30)),
+        "d7d0cb4ca8615c97b979b14807b4321a86b1eed045d0253ff38f2aed4ee103cb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_golden_digest(name):
+    sc, digest = GOLDEN[name]
+    assert hashlib.sha256(report_json(sc).encode()).hexdigest() == digest
