@@ -2,20 +2,4 @@
 channel-output feedback, plus a Monte Carlo simulator of the power-splitting
 feedback coding scheme."""
 
-from .channel import (ChannelConfig, ChannelUse, NormConditionError, from_snr,
-                      load_config, max_energy_rate, save_config, step)
-from .coder import (DecoderState, EncoderState, SchemeParams,
-                    TransmissionTrace, decode, encode_step, error_bound,
-                    expected_energy_rate, init_phase, message_count,
-                    message_point, receiver_update, simulate_block)
-from .mc import SimConfig, SimReport, empirical_energy_rate, outage_estimate, run
-from .region import (AsymmetryRatios, BoundarySample, DegenerateSnrError,
-                     InfeasibleEnergyRateError, OperatingPoint, RateTriplet,
-                     RegionBoxFB, b_fb_at_nf_sum_capacity, contains,
-                     feedback_gain_ratio, gain_ratio_limit_high_snr,
-                     max_individual_rate, phi, region_box_fb, region_box_nf,
-                     rho_min, sample_boundary, sample_boundary_records,
-                     solve_rho_alpha, solve_rho_star, sum_capacity_fb,
-                     sum_capacity_nf, time_sharing_sum_rate, xi)
-
 __version__ = "0.1.0"

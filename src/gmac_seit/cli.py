@@ -1,6 +1,7 @@
 """Command-line front end: emits region/capacity/ratio/simulation data files.
 
-Exit codes: 0 success, 2 usage error, 3 infeasible energy rate, 4 I/O error.
+Exit codes: 0 success, 1 some --verify-contains triplet not found in the
+region, 2 usage error, 3 infeasible energy rate, 4 I/O error.
 The default simulation seed can be set via the GMAC_SEIT_SEED environment
 variable; an explicit --seed flag wins.
 """
@@ -17,6 +18,7 @@ import numpy as np
 from . import channel, coder, mc, region
 
 EXIT_OK = 0
+EXIT_NOT_CONTAINED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE_B = 3
 EXIT_IO = 4
@@ -57,6 +59,20 @@ def _write(path, emit) -> None:
             fh.close()
 
 
+def _write_table(path, fmt: str, names: tuple[str, ...], rows) -> None:
+    """Write rows of floats as CSV (17 significant digits) or a JSON list."""
+    def emit(fh):
+        if fmt == "csv":
+            fh.write(",".join(names) + "\n")
+            for row in rows:
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        else:
+            json.dump([dict(zip(names, row)) for row in rows], fh, indent=1)
+            fh.write("\n")
+
+    _write(path, emit)
+
+
 def cmd_region(args) -> int:
     cfg = channel.from_snr(*args.snr)
     records = region.sample_boundary_records(cfg, feedback=args.feedback,
@@ -74,7 +90,7 @@ def cmd_region(args) -> int:
         if bad:
             print(f"verify-contains: {len(bad)} of {len(other)} triplets "
                   "not found in this region", file=sys.stderr)
-            return 1
+            return EXIT_NOT_CONTAINED
         print(f"verify-contains: all {len(other)} triplets contained",
               file=sys.stderr)
     return EXIT_OK
@@ -86,18 +102,7 @@ def cmd_sumcap(args) -> int:
     grid = np.linspace(0.0, bmax, args.points)
     rows = [(b, region.sum_capacity_fb(cfg, b), region.sum_capacity_nf(cfg, b))
             for b in grid]
-
-    def emit(fh):
-        if args.format == "csv":
-            fh.write("b,rsum_fb,rsum_nf\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        else:
-            json.dump([{"b": b, "rsum_fb": f, "rsum_nf": n}
-                       for b, f, n in rows], fh, indent=1)
-            fh.write("\n")
-
-    _write(args.out, emit)
+    _write_table(args.out, args.format, ("b", "rsum_fb", "rsum_nf"), rows)
     return EXIT_OK
 
 
@@ -113,18 +118,8 @@ def cmd_ratio(args) -> int:
         limit = region.gain_ratio_limit_high_snr(
             region.AsymmetryRatios.from_config(cfg, i=1))
         rows.append((s, ratio, limit))
-
-    def emit(fh):
-        if args.format == "csv":
-            fh.write("snr,ratio,limit_high_snr\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        else:
-            json.dump([{"snr": s, "ratio": r, "limit_high_snr": l}
-                       for s, r, l in rows], fh, indent=1)
-            fh.write("\n")
-
-    _write(args.out, emit)
+    _write_table(args.out, args.format, ("snr", "ratio", "limit_high_snr"),
+                 rows)
     return EXIT_OK
 
 
@@ -180,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--verify-contains", metavar="CSV", default=None,
                    help="check every triplet of this boundary CSV for "
-                        "membership in the region being sampled")
+                        "membership in the region being sampled; exit 1 "
+                        "if any is not found")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("sumcap", help="sum-capacity vs energy rate, with "

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, ChannelUse, step
-from .region import solve_rho_star
+from .region import OperatingPoint, region_box_fb, solve_rho_star
 
 
 class DegenerateRhoError(ValueError):
@@ -274,7 +274,7 @@ def decode(dec: DecoderState, params: SchemeParams, y_init) -> tuple[int, int]:
     """Nearest-neighbor message decisions from the final MMSE estimates.
 
     Resolves message points down to float64 granularity (fine for any
-    message count up to ~2^40; simulate_block switches to the equivalent
+    message count up to ~2^40; simulate_batch switches to the equivalent
     log-domain rule beyond that).
     """
     rs = params.rho_star()
@@ -362,12 +362,8 @@ def error_bound(params: SchemeParams) -> tuple[float, float]:
 
 def expected_energy_rate(params: SchemeParams, rho: float) -> float:
     """Mean empirical energy rate of the scheme at IC correlation rho."""
-    cfg = params.cfg
-    s21, s22 = cfg.snr21, cfg.snr22
-    return (1.0 + s21 + s22
-            + 2.0 * rho * math.sqrt(params.beta1 * s21 * params.beta2 * s22)
-            + 2.0 * math.sqrt((1.0 - params.beta1) * s21
-                              * (1.0 - params.beta2) * s22))
+    op = OperatingPoint(params.beta1, params.beta2, rho)
+    return region_box_fb(params.cfg, op).b_max
 
 
 @dataclass(frozen=True)

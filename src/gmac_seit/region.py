@@ -229,17 +229,24 @@ def rho_min(cfg: ChannelConfig, beta1: float, beta2: float, b: float) -> float:
 # per-operating-point rate boxes
 
 
-def region_box_fb(cfg: ChannelConfig, op: OperatingPoint) -> RegionBoxFB:
-    b1, b2, rho = op.beta1, op.beta2, op.rho
+def _boxes(cfg: ChannelConfig, b1, b2, rho):
+    """Region-box bounds (r1_max, r2_max, rsum_max, b_max) at arrays of
+    operating points: the one place the box closed form is written."""
     s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
     om = 1.0 - rho * rho
-    r1 = 0.5 * log2(1.0 + b1 * s11 * om)
-    r2 = 0.5 * log2(1.0 + b2 * s12 * om)
-    rsum = 0.5 * log2(1.0 + b1 * s11 + b2 * s12
-                      + 2.0 * rho * math.sqrt(b1 * s11 * b2 * s12))
-    bmax = (1.0 + s21 + s22 + 2.0 * rho * math.sqrt(b1 * s21 * b2 * s22)
-            + 2.0 * math.sqrt((1.0 - b1) * s21 * (1.0 - b2) * s22))
-    return RegionBoxFB(r1_max=r1, r2_max=r2, rsum_max=rsum, b_max=bmax)
+    r1 = 0.5 * np.log2(1.0 + b1 * s11 * om)
+    r2 = 0.5 * np.log2(1.0 + b2 * s12 * om)
+    rsum = 0.5 * np.log2(1.0 + b1 * s11 + b2 * s12
+                         + 2.0 * rho * np.sqrt(b1 * s11 * b2 * s12))
+    bmax = (1.0 + s21 + s22 + 2.0 * (rho * np.sqrt(b1 * s21 * b2 * s22))
+            + 2.0 * np.sqrt((1.0 - b1) * s21 * (1.0 - b2) * s22))
+    return r1, r2, rsum, bmax
+
+
+def region_box_fb(cfg: ChannelConfig, op: OperatingPoint) -> RegionBoxFB:
+    bounds = _boxes(cfg, np.array([op.beta1]), np.array([op.beta2]),
+                    np.array([op.rho]))
+    return RegionBoxFB(*(float(v[0]) for v in bounds))
 
 
 def region_box_nf(cfg: ChannelConfig, beta1: float, beta2: float) -> RegionBoxFB:
@@ -258,44 +265,37 @@ def _grid_boxes(cfg: ChannelConfig, feedback: bool, grid_n: int):
     rho_axis = g if feedback else np.zeros(1)
     b1, b2, rho = np.meshgrid(g, g, rho_axis, indexing="ij")
     b1, b2, rho = b1.ravel(), b2.ravel(), rho.ravel()
-    s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
-    om = 1.0 - rho * rho
-    r1b = 0.5 * np.log2(1.0 + b1 * s11 * om)
-    r2b = 0.5 * np.log2(1.0 + b2 * s12 * om)
-    rsb = 0.5 * np.log2(1.0 + b1 * s11 + b2 * s12
-                        + 2.0 * rho * np.sqrt(b1 * s11 * b2 * s12))
-    ic = rho * np.sqrt(b1 * s21 * b2 * s22) if feedback else 0.0
-    bb = (1.0 + s21 + s22 + 2.0 * ic
-          + 2.0 * np.sqrt((1.0 - b1) * s21 * (1.0 - b2) * s22))
-    return b1, b2, rho, r1b, r2b, rsb, bb
+    return (b1, b2, rho) + _boxes(cfg, b1, b2, rho)
 
 
-def _slack(cfg: ChannelConfig, t: RateTriplet, feedback: bool,
-           beta1: float, beta2: float, rho: float) -> float:
-    if not feedback:
-        rho = 0.0
-    box = region_box_fb(cfg, OperatingPoint(beta1, beta2, rho))
-    return min(box.r1_max - t.r1, box.r2_max - t.r2,
-               box.rsum_max - (t.r1 + t.r2), box.b_max - t.b)
+def _refine_coord(score, pts: np.ndarray, c: int, h: float,
+                  iters: int = 40) -> None:
+    """Golden-section maximization of score along coordinate c, in place.
 
+    Each column of pts (rows beta1, beta2, rho) is a start with its own
+    bracket [x - h, x + h] clipped to [0, 1]; np.where picks each column's
+    branch.  A column keeps its start when the bracket's midpoint scores
+    worse.
+    """
+    def f(v):
+        q = list(pts)
+        q[c] = v
+        return score(q)
 
-def _refine_coord(f, x: float, lo: float, hi: float, iters: int = 40) -> float:
-    """Golden-section maximization of f over [lo, hi], seeded at x."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = f(c), f(d)
+    x = pts[c]
+    a, b = np.maximum(0.0, x - h), np.minimum(1.0, x + h)
+    lo, hi = b - gr * (b - a), a + gr * (b - a)
+    flo, fhi = f(lo), f(hi)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
+        left = flo >= fhi
+        a, b = np.where(left, a, lo), np.where(left, hi, b)
+        new = np.where(left, b - gr * (b - a), a + gr * (b - a))
+        fnew = f(new)
+        lo, hi = np.where(left, new, hi), np.where(left, lo, new)
+        flo, fhi = np.where(left, fnew, fhi), np.where(left, flo, fnew)
     best = 0.5 * (a + b)
-    return best if f(best) >= f(x) else x
+    pts[c] = np.where(f(best) >= f(x), best, x)
 
 
 def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
@@ -315,30 +315,22 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
           & (rsb >= t.r1 + t.r2 - eps) & (bb >= t.b - eps))
     if bool(ok.any()):
         return True
-    slack = np.minimum.reduce(
-        [r1b - t.r1, r2b - t.r2, rsb - (t.r1 + t.r2), bb - t.b])
-    h = 1.0 / (grid_n - 1)
-    coords = (0, 1, 2) if feedback else (0, 1)
+
+    def slack(r1, r2, rs, b):
+        return np.minimum.reduce(
+            [r1 - t.r1, r2 - t.r2, rs - (t.r1 + t.r2), b - t.b])
+
     # multi-start: the global slack argmax can sit in the wrong basin, so
-    # refine from the best grid point of every rho-slice
+    # refine from the best grid point of every rho-slice at once
     n_rho = grid_n if feedback else 1
-    per_rho = slack.reshape(grid_n * grid_n, n_rho)
-    for j in range(n_rho):
-        k = int(np.argmax(per_rho[:, j])) * n_rho + j
-        pt = [float(b1g[k]), float(b2g[k]), float(rhog[k])]
-        for _ in range(2):
-            for c in coords:
-                lo, hi = max(0.0, pt[c] - h), min(1.0, pt[c] + h)
-
-                def f(v, c=c):
-                    q = list(pt)
-                    q[c] = v
-                    return _slack(cfg, t, feedback, *q)
-
-                pt[c] = _refine_coord(f, pt[c], lo, hi)
-        if _slack(cfg, t, feedback, *pt) >= -eps:
-            return True
-    return False
+    per_rho = slack(r1b, r2b, rsb, bb).reshape(grid_n * grid_n, n_rho)
+    k = np.argmax(per_rho, axis=0) * n_rho + np.arange(n_rho)
+    pts = np.stack([b1g[k], b2g[k], rhog[k]])
+    h = 1.0 / (grid_n - 1)
+    for _ in range(2):
+        for c in ((0, 1, 2) if feedback else (0, 1)):
+            _refine_coord(lambda q: slack(*_boxes(cfg, *q)), pts, c, h)
+    return bool((slack(*_boxes(cfg, *pts)) >= -eps).any())
 
 
 # ---------------------------------------------------------------------------

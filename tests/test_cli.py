@@ -32,7 +32,7 @@ def test_region_csv(tmp_path):
     assert rows[k, 3] == 0.0 and rows[k, 4] == 0.0
 
 
-def test_region_verify_contains(tmp_path):
+def test_region_verify_contains(tmp_path, capsys):
     nf = tmp_path / "nf.csv"
     fb = tmp_path / "fb.csv"
     assert run_cli(["region", "--snr", "10,10,10,10", "--res", "6",
@@ -40,6 +40,12 @@ def test_region_verify_contains(tmp_path):
     # no-feedback boundary must lie inside the feedback region
     assert run_cli(["region", "--snr", "10,10,10,10", "--res", "6",
                     "--out", str(fb), "--verify-contains", str(nf)]) == 0
+    # but most of the feedback boundary lies outside the no-feedback region
+    capsys.readouterr()
+    assert run_cli(["region", "--snr", "10,10,10,10", "--res", "6",
+                    "--no-feedback", "--out", str(tmp_path / "nf2.csv"),
+                    "--verify-contains", str(fb)]) == 1
+    assert "49 of 60 triplets not found" in capsys.readouterr().err
 
 
 def test_region_json(tmp_path):

@@ -1,8 +1,9 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import brute_force_sum_capacity, scan_rho_star
@@ -137,6 +138,20 @@ def test_region_box_sum_split_at_rho_star(b1, b2):
     rs = region.solve_rho_star(SYM10, b1, b2)
     box = region.region_box_fb(SYM10, region.OperatingPoint(b1, b2, rs))
     assert box.r1_max + box.r2_max == pytest.approx(box.rsum_max, abs=1e-9)
+
+
+@pytest.mark.parametrize("feedback", [True, False])
+@pytest.mark.parametrize("snr", [(10, 10, 10, 10), (10, 3, 2, 5)])
+def test_grid_boxes_match_scalar_box_bitwise(snr, feedback):
+    # one closed form: every grid row is exactly the scalar box there
+    cfg = channel.from_snr(*snr)
+    b1, b2, rho, *bounds = region._grid_boxes(cfg, feedback, 24)
+    grid = np.column_stack(bounds)
+    scalar = np.array([
+        astuple(region.region_box_fb(cfg, region.OperatingPoint(*op)))
+        for op in zip(b1.tolist(), b2.tolist(), rho.tolist())])
+    assert len(grid) == (24 ** 3 if feedback else 24 ** 2)
+    assert np.array_equal(grid, scalar)
 
 
 def test_monotonicity_in_rho():
@@ -304,10 +319,17 @@ def test_sample_boundary_includes_pure_energy_point():
                for t in triplets)
 
 
-def test_sample_boundary_members_pass_contains():
-    for fb in (True, False):
-        for t in region.sample_boundary(ASYM, feedback=fb, resolution=8):
-            assert region.contains(ASYM, t, feedback=fb, grid_n=8)
+snr_range = st.floats(min_value=0.1, max_value=100.0, allow_nan=False)
+
+
+@given(snr_range, snr_range, snr_range, snr_range, st.booleans(), st.just(6))
+@example(10, 3, 5, 7, True, 8)  # ASYM
+@example(10, 3, 5, 7, False, 8)
+@settings(max_examples=40, deadline=None)
+def test_sample_boundary_members_pass_contains(s11, s12, s21, s22, fb, res):
+    cfg = channel.from_snr(s11, s12, s21, s22)
+    for t in region.sample_boundary(cfg, feedback=fb, resolution=res):
+        assert region.contains(cfg, t, feedback=fb, grid_n=res)
 
 
 def test_sample_boundary_is_pareto():
