@@ -1,7 +1,8 @@
 """Command-line front end: emits region/capacity/ratio/simulation data files.
 
 Exit codes: 0 success, 1 some --verify-contains triplet not found in the
-region, 2 usage error, 3 infeasible energy rate, 4 I/O error.
+region, 2 usage error (including a request too large to allocate),
+3 infeasible energy rate, 4 I/O error.
 The default simulation seed can be set via the GMAC_SEIT_SEED environment
 variable; an explicit --seed flag wins.
 """
@@ -237,6 +238,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # e.g. a region --res whose grid cannot be allocated
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -9,7 +9,6 @@ baseline, and the feedback energy-gain analytics.
 """
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -454,27 +453,48 @@ def gain_ratio_limit_high_snr(ratios: AsymmetryRatios) -> float:
 # boundary sampling and serialization
 
 
+_PARETO_BLOCK = 1024  # rows per step of the sweep in _pareto_filter
+
+
 def _pareto_filter(rows: np.ndarray) -> list[BoundarySample]:
-    """Keep triplets maximal in (r1, r2, b); rows are (beta1,beta2,rho,r1,r2,b)."""
-    rows = np.unique(rows, axis=0)
-    order = np.lexsort((-rows[:, 3], -rows[:, 4], -rows[:, 5]))
-    # staircase over (r1, r2) of points already accepted with b >= current
-    xs: list[float] = []  # r1, ascending
-    ys: list[float] = []  # r2, strictly decreasing
-    out: list[BoundarySample] = []
-    for k in order:
-        b1, b2, rho, r1, r2, b = (float(v) for v in rows[k])
-        i = bisect.bisect_left(xs, r1)
-        if i < len(xs) and ys[i] >= r2:
-            continue  # dominated by an earlier (higher-b) point
-        out.append(BoundarySample(b1, b2, rho, r1, r2, b))
-        stop = i + 1 if i < len(xs) and xs[i] == r1 else i
-        j = i
-        while j > 0 and ys[j - 1] <= r2:
-            j -= 1
-        xs[j:stop] = [r1]
-        ys[j:stop] = [r2]
-    return out
+    """Keep triplets maximal in (r1, r2, b); rows are (beta1,beta2,rho,r1,r2,b).
+
+    Rows are ordered by (-b, -r2, -r1), ties in input order, and a row is
+    kept iff no row before it in that order weakly dominates it in
+    (r1, r2, b).  Every row before a given one has b at least as large, so
+    the sweep only compares (r1, r2): against the staircase of rows kept in
+    earlier blocks, then against the surviving rows of its own block.
+    """
+    r1, r2, b = rows[:, 3], rows[:, 4], rows[:, 5]
+    order = np.lexsort((-r1, -r2, -b))
+    xs, ys = r1[order], r2[order]
+    keep = np.zeros(len(order), dtype=bool)
+    # maxima of the kept (r1, r2): fx ascending, fy strictly decreasing,
+    # with a -inf sentinel past the last step
+    fx, fy = np.empty(0), np.array([-np.inf])
+    for start in range(0, len(order), _PARETO_BLOCK):
+        x = xs[start:start + _PARETO_BLOCK]
+        y = ys[start:start + _PARETO_BLOCK]
+        # the first step at or right of x is the highest one there
+        live = np.flatnonzero(fy[np.searchsorted(fx, x, "left")] < y)
+        lx, ly = x[live], y[live]
+        # dominated[j, k]: live row j precedes and weakly dominates row k
+        dominated = np.triu((lx[:, None] >= lx) & (ly[:, None] >= ly), 1)
+        new = live[~dominated.any(axis=0)]
+        if not len(new):
+            continue
+        keep[start + new] = True
+        # new staircase: scan old steps and new rows by x descending and
+        # keep each point higher than every point before it
+        mx = np.concatenate([fx, x[new]])
+        my = np.concatenate([fy[:-1], y[new]])
+        s = np.lexsort((-my, -mx))
+        mx, my = mx[s], my[s]
+        step = np.ones(len(my), dtype=bool)
+        step[1:] = my[1:] > np.maximum.accumulate(my)[:-1]
+        fx = mx[step][::-1]
+        fy = np.append(my[step][::-1], -np.inf)
+    return [BoundarySample(*row) for row in rows[order[keep]].tolist()]
 
 
 def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
@@ -482,19 +502,21 @@ def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
     """Pareto-dominant corner triplets of the region boxes on a uniform grid."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    b1g, b2g, rhog, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback, resolution)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1g, b2g, rhog, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback,
+                                                        resolution)
     if not all(np.isfinite(a).all() for a in (r1b, r2b, rsb, bb)):
         raise ValueError("region bounds overflow float64 at these SNRs")
-    # four rate-pair corners of each box's pentagon, each paired with b_max
+    # the two sum-rate corners of each box's pentagon, each paired with
+    # b_max; the zero-rate corners (r1_max, 0) and (0, r2_max) are weakly
+    # dominated by them since c1, c2 >= 0.  Row 2*k + corner belongs to
+    # grid point k, so row order is (beta1, beta2, rho) order.
     c1 = np.clip(rsb - r1b, 0.0, r2b)
     c2 = np.clip(rsb - r2b, 0.0, r1b)
-    zeros = np.zeros_like(r1b)
-    r1s = np.concatenate([r1b, c2, r1b, zeros])
-    r2s = np.concatenate([c1, r2b, zeros, r2b])
-    ops = np.concatenate([np.stack([b1g, b2g, rhog], axis=1)] * 4)
-    bs = np.concatenate([bb] * 4)
-    rows = np.column_stack([ops, r1s, r2s, bs])
-    return _pareto_filter(rows)
+    ops = np.column_stack([b1g, b2g, rhog])
+    rows = np.stack([np.column_stack([ops, r1b, c1, bb]),
+                     np.column_stack([ops, c2, r2b, bb])], axis=1)
+    return _pareto_filter(rows.reshape(-1, 6))
 
 
 def sample_boundary(cfg: ChannelConfig, feedback: bool = True,

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: dense scanning
 instead of bisection, exhaustive grid maximization instead of closed
 forms, a naive unnormalized covariance recursion instead of the
-log-domain one, and a 2x2 matrix error-state recursion for the law of
-the empirical energy rate instead of the coefficient schedule.
+log-domain one, a 2x2 matrix error-state recursion for the law of
+the empirical energy rate instead of the coefficient schedule, and an
+all-pairs dominance check for the region boundary instead of a sweep.
 """
 import math
 
@@ -53,6 +54,31 @@ def brute_force_sum_capacity(cfg, b_values, grid_n=201, feedback=True):
                 if mask.any():
                     best[k] = max(best[k], float(val[mask].max()))
     return best
+
+
+def pareto_corners(grid):
+    """Boundary rows (beta1, beta2, rho, r1, r2, b) of a grid of region boxes.
+
+    grid holds the seven arrays (beta1, beta2, rho, r1_max, r2_max,
+    rsum_max, b_max) of the operating points.  Every box contributes all
+    four rate corners of its pentagon, (r1_max, c1), (c2, r2_max),
+    (r1_max, 0) and (0, r2_max), where c1 = rsum_max - r1_max clipped to
+    [0, r2_max] and c2 likewise, each with b_max.  Rows are ordered by
+    (-b, -r2, -r1), ties by (beta1, beta2, rho), and a row is kept iff no
+    row before it weakly dominates it in (r1, r2, b), tested against every
+    earlier row.
+    """
+    rows = []
+    for b1, b2, rho, r1, r2, rs, b in zip(*(a.tolist() for a in grid)):
+        c1 = min(max(rs - r1, 0.0), r2)
+        c2 = min(max(rs - r2, 0.0), r1)
+        for x, y in ((r1, c1), (c2, r2), (r1, 0.0), (0.0, r2)):
+            rows.append((b1, b2, rho, x, y, b))
+    rows.sort(key=lambda r: (-r[5], -r[4], -r[3], r[0], r[1], r[2]))
+    arr = np.array(rows)
+    keep = [k for k in range(len(arr))
+            if not (arr[:k, 3:] >= arr[k, 3:]).all(axis=1).any()]
+    return arr[keep]
 
 
 def naive_posterior(params, yprimes):

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import resource
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +33,29 @@ def test_region_csv(tmp_path):
     k = int(np.argmax(bcol))
     assert bcol[k] == pytest.approx(41.0)
     assert rows[k, 3] == 0.0 and rows[k, 4] == 0.0
+
+
+# SHA-256 of region CSV output, recorded with the np.unique and per-row
+# staircase Pareto filter that preceded the blocked sweep
+REGION_GOLDEN = {
+    "sym10_fb_res2": (
+        ["--snr", "10,10,10,10", "--res", "2"],
+        "b7ef4f3bf15906e381da010283f7764a516f3bda5f59fa819372a7526b32de5e"),
+    "sym10_fb_res48": (
+        ["--snr", "10,10,10,10", "--res", "48"],
+        "5c9713274ae22a89addd4554c1a7489633dc205cb7f051c606865f16e76a14fc"),
+    "asym_nf_res64": (
+        ["--snr", "10,3,2,5", "--no-feedback", "--res", "64"],
+        "6fcb9ce9164bf14bd047e4fd11584d027760ec24b5a869a88307243e5595d679"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGION_GOLDEN))
+def test_region_csv_golden_digest(tmp_path, name):
+    argv, digest = REGION_GOLDEN[name]
+    out = tmp_path / "region.csv"
+    assert run_cli(["region", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_region_verify_contains(tmp_path, capsys):
@@ -145,10 +171,27 @@ def test_simulate_one_user_zero_snr(tmp_path):
     assert run_cli(argv + ["--rate", "0.1,0.3"]) == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_region_non_finite_bounds_rejected(tmp_path):
+def test_region_non_finite_bounds_rejected(tmp_path, capsys):
     out = tmp_path / "huge.csv"
-    assert run_cli(["region", "--snr", "1e200,1e200,1e200,1e200",
-                    "--res", "4", "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["region", "--snr", "1e200,1e200,1e200,1e200",
+                        "--res", "4", "--out", str(out)]) == 2
     assert not out.exists()
+    # the refusal is the only thing on stderr: no numpy RuntimeWarnings
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "invalid arguments: region bounds overflow float64 at these SNRs\n")
+
+
+def test_region_grid_too_large_rejected(tmp_path, capsys):
+    # 200000^3 grid points need 56.8 PiB per array, beyond any address
+    # space, so numpy refuses the first one before allocating anything
+    out = tmp_path / "huge.csv"
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert run_cli(["region", "--snr", "10,10,10,10", "--res", "200000",
+                    "--out", str(out)]) == 2
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak < 65536
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1

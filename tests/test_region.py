@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_sum_capacity, scan_rho_star
+from _oracles import brute_force_sum_capacity, pareto_corners, scan_rho_star
 from gmac_seit import channel, region
 
 SYM10 = channel.from_snr(10, 10, 10, 10)
@@ -341,6 +341,22 @@ def test_sample_boundary_is_pareto():
         dominators = ge & gt
         dominators[k] = False
         assert not dominators.any()
+
+
+@given(snr_range, snr_range, snr_range, snr_range, st.booleans(),
+       st.integers(min_value=2, max_value=7))
+@example(10, 10, 10, 10, True, 7)  # symmetric: many tied triplets
+@example(10, 3, 2, 5, False, 7)
+@settings(max_examples=60, deadline=None)
+def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
+                                                    res):
+    cfg = channel.from_snr(s11, s12, s21, s22)
+    recs = region.sample_boundary_records(cfg, feedback=fb, resolution=res)
+    got = np.array([astuple(rec) for rec in recs])
+    want = pareto_corners(region._grid_boxes(cfg, fb, res))
+    # same rows in the same order, bit for bit
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_no_feedback_boundary_inside_feedback_region():
