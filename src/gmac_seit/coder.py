@@ -25,11 +25,15 @@ and the receiver's log2_sigma depend only on SchemeParams, never on the
 data, so coeff_schedule computes them once per block as a length-n table.
 simulate_batch then runs a batch of independent blocks in lockstep: each
 trial keeps its own numpy Generator, and the error recursion over
-t = 1..n runs as numpy vectors across trials, with every element going
-through the same float operations in the same order as the step-level API
-(init_phase, encode_step, channel.step, receiver_update), so the results
-are bit-identical to a block replayed one use at a time.  simulate_block
-is the batch of one.
+t = 1..n runs as numpy vectors across trials.  The per-use loop does only
+what depends on the step before (inputs, y1, y' and the error update); the
+NIC terms are formed for the whole block before it, the receiver's mean is
+reduced from the stored y' after it, and the tail (decoding, energy rate
+and consumed energies) is whole-array work across trials.  Every element
+still goes through the same float operations in the same order as the
+step-level API (init_phase, encode_step, channel.step, receiver_update,
+decode), so the results are bit-identical to a block replayed one use at a
+time.  simulate_block is the batch of one, and decode is decode_batch's.
 """
 from __future__ import annotations
 
@@ -262,39 +266,42 @@ def receiver_update(dec: DecoderState, params: SchemeParams, y1: float,
                         w_seq=dec.w_seq, t=t)
 
 
-def _nearest_index(x: float, big: int) -> int:
-    """Nearest message index to grid coordinate x = m-1, ties to smaller m."""
-    k = math.floor(x + 0.5)
-    if x + 0.5 == k:  # exact midpoint: the smaller index wins
-        k -= 1
-    return min(max(k, 0), big - 1) + 1
+def decode_batch(params: SchemeParams, mean: np.ndarray,
+                 y_init: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor message decisions of a batch of blocks.
 
-
-def decode(dec: DecoderState, params: SchemeParams, y_init) -> tuple[int, int]:
-    """Nearest-neighbor message decisions from the final MMSE estimates.
-
-    Resolves message points down to float64 granularity (fine for any
-    message count up to ~2^40; simulate_batch switches to the equivalent
-    log-domain rule beyond that).
+    mean is the (2, trials) final MMSE estimate (Xihat_1, Xihat_2) and
+    y_init the (trials, 3) receiver outputs of the init uses; returns the
+    (2, trials) decoded indices, an exact midpoint going to the smaller
+    one.  Resolves message points down to float64 granularity (fine for
+    any message count up to ~2^40; simulate_batch switches to the
+    equivalent log-domain rule beyond that).
     """
     rs = params.rho_star()
     if rs >= 1.0:
         raise DegenerateRhoError("rho* = 1")
     cfg = params.cfg
-    y_m2, y_m1, y_0 = (u.y1 for u in y_init)
-    out = []
-    for i, y_obs in ((1, y_m1), (2, y_m2)):
+    out = np.ones((2, len(y_init)), dtype=np.int64)
+    for i, y_obs in ((1, y_init[:, 1]), (2, y_init[:, 0])):
         big = params.messages(i)
         if big == 1:  # nothing to decide; h may be 0
-            out.append(1)
             continue
         h = cfg.h11 if i == 1 else cfg.h12
-        p = cfg.power(i)
-        theta_hat = (y_obs + math.sqrt(rs / (1.0 - rs)) * y_0
-                     - dec.mean2[i - 1] / math.sqrt(1.0 - rs)) / h
-        delta = 2.0 * math.sqrt(p) / big
-        out.append(_nearest_index((math.sqrt(p) - theta_hat) / delta, big))
-    return out[0], out[1]
+        sp = math.sqrt(cfg.power(i))
+        theta_hat = (y_obs + math.sqrt(rs / (1.0 - rs)) * y_init[:, 2]
+                     - mean[i - 1] / math.sqrt(1.0 - rs)) / h
+        xh = (sp - theta_hat) / (2.0 * sp / big) + 0.5  # grid coordinate m-1
+        k = np.floor(xh)
+        k[xh == k] -= 1.0  # exact midpoint: the smaller index wins
+        out[i - 1] += np.clip(k, 0.0, big - 1).astype(np.int64)
+    return out
+
+
+def decode(dec: DecoderState, params: SchemeParams, y_init) -> tuple[int, int]:
+    """decode_batch for one block whose init uses are the ChannelUses y_init."""
+    m = decode_batch(params, np.array(dec.mean2)[:, None],
+                     np.array([[u.y1 for u in y_init]]))
+    return int(m[0, 0]), int(m[1, 0])
 
 
 def _decode_exact(enc: EncoderState, dec: DecoderState, params: SchemeParams,
@@ -453,7 +460,8 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
 
     sched is coeff_schedule(params).  Trial k draws from rngs[k] only, in
     simulate_block's order, so a trial's outputs do not depend on the rest
-    of the batch.  Memory is about ten floats per trial and channel use.
+    of the batch.  Memory peaks at about a dozen floats per trial and
+    channel use.
     """
     cfg = params.cfg
     n = params.n
@@ -469,69 +477,67 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
     q = c * z + math.sqrt(1.0 - c * c) * q
 
     # init phase: uses (0, Theta2), (Theta1, 0), (0, 0)
-    theta = [(message_point(m1, params.r1, n, cfg.p1),
-              message_point(m2, params.r2, n, cfg.p2)) for m1, m2 in messages]
+    th = np.array([(message_point(m1, params.r1, n, cfg.p1),
+                    message_point(m2, params.r2, n, cfg.p2))
+                   for m1, m2 in messages]).T  # (2, trials)
     x = np.zeros((2, k, n + 3))
-    x[0, :, 1] = [th1 for th1, _ in theta]
-    x[1, :, 0] = [th2 for _, th2 in theta]
+    x[0, :, 1] = th[0]
+    x[1, :, 0] = th[1]
     y1 = np.empty((k, n + 3))
     y1[:, :3] = cfg.h11 * x[0, :, :3] + cfg.h12 * x[1, :, :3] + z[:, :3]
-    xi = _xi(params.rho_star(), z[:, 0], z[:, 1], z[:, 2])
-    err = np.array(xi)  # (2, trials) normalized errors, en_i = Xi_i at t = 1
+    xi = np.array(_xi(params.rho_star(), z[:, 0], z[:, 1], z[:, 2]))
+    err = xi.copy()  # (2, trials) normalized errors, en_i = Xi_i at t = 1
 
-    # payload: the encoders' mirror update (err) and the receiver's mean
+    # payload: per use, only the encoders' mirror update of err depends on
+    # the step before; the NIC terms are formed up front and the receiver's
+    # mean is reduced from the stored y' after the loop
     amp = np.empty((n, 2, 1))
     amp[:, 0] = math.sqrt(params.beta1 * cfg.p1)
     amp[:, 1, 0] = sched.sign2 * math.sqrt(params.beta2 * cfg.p2)
     nic = np.array([[math.sqrt((1.0 - params.beta1) * cfg.p1)],
                     [math.sqrt((1.0 - params.beta2) * cfg.p2)]])
     h = np.array([[cfg.h11], [cfg.h12]])
-    nic_gain = _nic_gain(params)
-    mean = np.zeros((2, k))
-    nw = np.empty((2, k))
+    np.multiply(nic[:, :, None], w, out=x[:, :, 3:])  # nic_i * w
+    yp = np.multiply(_nic_gain(params), w.T, order="C")  # (n, trials)
+    u = np.empty((2, k))
     hx = np.empty((2, k))
-    yp = np.empty(k)
     innov = np.empty((2, k))
-    for amp_t, a_t, v_t, d_t, g_t, w_t, z_t, x_t, y_t in zip(
-            amp, sched.a, sched.v, sched.d, sched.gain, w.T, z.T[3:],
-            x.transpose(2, 0, 1)[3:], y1.T[3:]):
-        np.multiply(amp_t, err, out=x_t)  # u_i
-        np.multiply(nic, w_t, out=nw)
-        x_t += nw  # x_i = u_i + nic_i * w
+    for amp_t, a_t, v_t, d_t, z_t, x_t, y_t, yp_t in zip(
+            amp, sched.a, sched.v, sched.d, z.T[3:],
+            x.transpose(2, 0, 1)[3:], y1.T[3:], yp):
+        np.multiply(amp_t, err, out=u)
+        x_t += u  # x_i = u_i + nic_i * w
         np.multiply(h, x_t, out=hx)
         np.add(hx[0], hx[1], out=y_t)
         y_t += z_t  # y1 = h11 x1 + h12 x2 + z
-        np.multiply(nic_gain, w_t, out=yp)
-        np.subtract(y_t, yp, out=yp)  # y' = y1 - nic_gain * w
-        np.multiply(a_t, yp, out=innov)
+        np.subtract(y_t, yp_t, out=yp_t)  # y' = y1 - nic_gain * w
+        np.multiply(a_t, yp_t, out=innov)
         innov /= v_t
         err -= innov
         err /= d_t  # en_i <- (en_i - a_i y' / v) / d_i
-        np.multiply(g_t, yp, out=innov)
-        mean += innov  # Xihat_i <- Xihat_i + sigma_i a_i / v * y'
+    # Xihat_i = sum_t sigma_i,t a_i,t / v_t * y'_t; a reduction over the
+    # outer axis adds the rows in t order from +0.0, as a running sum would
+    mean = np.add.reduce(sched.gain * yp[:, None, :], axis=0, initial=0.0)
     y2 = cfg.h21 * x[0]  # y2 = h21 x1 + h22 x2 + q, one temporary at a time
     y2 += cfg.h22 * x[1]
     y2 += q
 
-    batch = BlockBatch(x=x, y1=y1, y2=y2, z=z, q=q, w=w, nic=nic,
-                       m_true=[tuple(m) for m in messages], m_hat=[],
-                       b_hat=[], energy1=[], energy2=[])
-    exact = max(math.log2(params.messages(1)),
-                math.log2(params.messages(2))) > 40
-    for row, (m_true, (th1, th2)) in enumerate(zip(batch.m_true, theta)):
-        dec = DecoderState(mean2=[mean[0, row], mean[1, row]],
-                           log2_sigma=list(sched.log2_sigma),
-                           corr=sched.corr, w_seq=w[row], t=n)
-        if exact:
-            enc = EncoderState(theta=(th1, th2), xi=(xi[0][row], xi[1][row]),
-                               err_norm=[err[0, row], err[1, row]])
-            batch.m_hat.append(_decode_exact(enc, dec, params, m_true))
-        else:
-            batch.m_hat.append(decode(dec, params, batch.init_uses(row)))
-        batch.b_hat.append(float(np.mean(y2[row, 3:] ** 2)))
-        batch.energy1.append(th1 * th1 + float(np.sum(x[0, row, 3:] ** 2)))
-        batch.energy2.append(th2 * th2 + float(np.sum(x[1, row, 3:] ** 2)))
-    return batch
+    energy = th * th + np.sum(x[:, :, 3:] ** 2, axis=2)
+    if max(params.messages(1), params.messages(2)) > 2**40:
+        m_hat = []
+        for row, m_true in enumerate(messages):
+            dec = DecoderState(mean2=list(mean[:, row]),
+                               log2_sigma=list(sched.log2_sigma),
+                               corr=sched.corr, w_seq=w[row], t=n)
+            enc = EncoderState(theta=tuple(th[:, row]), xi=tuple(xi[:, row]),
+                               err_norm=list(err[:, row]))
+            m_hat.append(_decode_exact(enc, dec, params, m_true))
+    else:
+        m_hat = list(zip(*decode_batch(params, mean, y1[:, :3]).tolist()))
+    return BlockBatch(x=x, y1=y1, y2=y2, z=z, q=q, w=w, nic=nic,
+                      m_true=[tuple(m) for m in messages], m_hat=m_hat,
+                      b_hat=np.mean(y2[:, 3:] ** 2, axis=1).tolist(),
+                      energy1=energy[0].tolist(), energy2=energy[1].tolist())
 
 
 def simulate_block(params: SchemeParams, m1: int, m2: int,

@@ -11,7 +11,13 @@ trials, which bounds each of the engine's trials x (n + 3) arrays to
 _CHUNK_FLOATS floats (256 KiB) whatever the trial count.  The coefficient
 schedule and rho* are computed once per run.  Since every trial draws only
 from its own (seed, trial) streams, the report does not depend on how the
-trials are chunked.
+trials are chunked.  Within a chunk, the receiver's mean is reduced after
+the per-use loop and the decode, energy-rate and energy tail is vectorized
+across trials.  The per-trial Python work left is each trial's streams,
+messages and PAM points (and _decode_exact beyond 2^40 messages), plus
+the aggregation below, which adds in trial order on purpose: np.sum
+(pairwise) or the builtin sum (compensated since Python 3.12) would
+change the last bits of the report.
 """
 from __future__ import annotations
 

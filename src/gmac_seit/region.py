@@ -257,14 +257,19 @@ def region_box_nf(cfg: ChannelConfig, beta1: float, beta2: float) -> RegionBoxFB
 # region membership
 
 
-@lru_cache(maxsize=32)
-def _grid_boxes(cfg: ChannelConfig, feedback: bool, grid_n: int):
+def _grid_box_arrays(cfg: ChannelConfig, feedback: bool, grid_n: int):
     """Flattened region-box bounds over the uniform operating-point grid."""
     g = np.linspace(0.0, 1.0, grid_n)
     rho_axis = g if feedback else np.zeros(1)
     b1, b2, rho = np.meshgrid(g, g, rho_axis, indexing="ij")
     b1, b2, rho = b1.ravel(), b2.ravel(), rho.ravel()
     return (b1, b2, rho) + _boxes(cfg, b1, b2, rho)
+
+
+@lru_cache(maxsize=32)
+def _grid_boxes(cfg: ChannelConfig, feedback: bool, grid_n: int):
+    """_grid_box_arrays, kept for the repeated contains calls on one grid."""
+    return _grid_box_arrays(cfg, feedback, grid_n)
 
 
 def _refine_coord(score, pts: np.ndarray, c: int, h: float,
@@ -503,8 +508,8 @@ def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     with np.errstate(over="ignore", invalid="ignore"):
-        b1g, b2g, rhog, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback,
-                                                        resolution)
+        b1g, b2g, rhog, r1b, r2b, rsb, bb = _grid_box_arrays(cfg, feedback,
+                                                             resolution)
     if not all(np.isfinite(a).all() for a in (r1b, r2b, rsb, bb)):
         raise ValueError("region bounds overflow float64 at these SNRs")
     # the two sum-rate corners of each box's pentagon, each paired with
@@ -527,13 +532,15 @@ def sample_boundary(cfg: ChannelConfig, feedback: bool = True,
 
 CSV_HEADER = "beta1,beta2,rho,r1,r2,b"
 _FIELDS = CSV_HEADER.split(",")
+_CSV_ROW = ",".join(["%.17g"] * len(_FIELDS)) + "\n"
 
 
 def records_to_csv(records, fh) -> None:
     """Write boundary samples as CSV with the mandatory header, 17 sig digits."""
     fh.write(CSV_HEADER + "\n")
     for rec in records:
-        fh.write(",".join(f"{getattr(rec, f):.17g}" for f in _FIELDS) + "\n")
+        fh.write(_CSV_ROW % (rec.beta1, rec.beta2, rec.rho, rec.r1, rec.r2,
+                             rec.b))
 
 
 def records_to_json(records, fh) -> None:

@@ -33,26 +33,29 @@ def brute_force_sum_capacity(cfg, b_values, grid_n=201, feedback=True):
     g2 = np.linspace(0.0, 1.0, n2)
     s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
     best = np.full(len(b_values), -np.inf)
-    rho_axis = np.linspace(0.0, 1.0, grid_n) if feedback else np.zeros(1)
-    # outer loop keeps peak memory at one 2D slice regardless of budget
+    rho = (np.linspace(0.0, 1.0, grid_n) if feedback else np.zeros(1))[:, None]
+    om = 1.0 - rho * rho
+    # one (rho, beta2) plane per beta1 keeps peak memory at one 2D slice
     for b1 in g2:
         b2 = g2
         nic = 2.0 * np.sqrt((1.0 - b1) * s21 * (1.0 - b2) * s22)
         ic_amp = np.sqrt(b1 * s21 * b2 * s22)
         rate_cross = np.sqrt(b1 * s11 * b2 * s12)
-        for rho in rho_axis:
-            om = 1.0 - rho * rho
-            r1b = 0.5 * np.log2(1.0 + b1 * s11 * om)
-            r2b = 0.5 * np.log2(1.0 + b2 * s12 * om)
-            rsb = 0.5 * np.log2(1.0 + b1 * s11 + b2 * s12
-                                + 2.0 * rho * rate_cross)
-            val = np.minimum(rsb, r1b + r2b)
-            bb = (1.0 + s21 + s22 + nic
-                  + (2.0 * rho * ic_amp if feedback else 0.0))
-            for k, b in enumerate(b_values):
-                mask = bb >= b
-                if mask.any():
-                    best[k] = max(best[k], float(val[mask].max()))
+        r1b = 0.5 * np.log2(1.0 + b1 * s11 * om)
+        r2b = 0.5 * np.log2(1.0 + b2 * s12 * om)
+        rsb = 0.5 * np.log2(1.0 + b1 * s11 + b2 * s12
+                            + 2.0 * rho * rate_cross)
+        val = np.minimum(rsb, r1b + r2b).ravel()
+        bb = np.broadcast_to(1.0 + s21 + s22 + nic
+                             + (2.0 * rho * ic_amp if feedback else 0.0),
+                             (len(rho), n2)).ravel()
+        # the points with bb >= b form a suffix of the bb-sorted plane, so
+        # the max rate over them is a suffix maximum
+        order = np.argsort(bb)
+        top = np.maximum.accumulate(val[order][::-1])[::-1]
+        idx = np.searchsorted(bb[order], b_values)
+        hit = idx < len(order)
+        best[hit] = np.maximum(best[hit], top[idx[hit]])
     return best
 
 

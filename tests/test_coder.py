@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,6 +232,71 @@ def test_decode_threshold_condition():
         dec.mean2 = [xi1, xi2]
         dec.mean2[i - 1] -= err
         assert coder.decode(dec, params, uses) == (m1, m2)
+
+
+def nearest_index(theta_hat, sp, big):
+    """Index m in 1..big whose PAM point sp (1 - 2 (m-1)/big) lies nearest
+    to theta_hat, ties to the smaller m; exact rational arithmetic."""
+    x = (sp - theta_hat) * big / (2 * sp)  # grid coordinate m - 1
+    lo = min(max(math.floor(x), 0), big - 1)
+    return 1 + min((c for c in (lo, lo + 1) if c < big),
+                   key=lambda c: (abs(x - c), c))
+
+
+def test_decode_batch_nearest_index_rule():
+    # user 1: 2^39 points with h11 = 1/2, sqrt(p1) = 2, so every grid
+    # coordinate below is exact in float64, midpoints included; user 2
+    # sends nothing (h12 = 0, one message)
+    cfg_a = channel.ChannelConfig(h11=0.5, h12=0.0, h21=0.5, h22=1.0,
+                                  p1=4.0, p2=1.0)
+    pa = make_params(n=39, r1=1.0, r2=0.0, cfg=cfg_a)
+    big = pa.messages(1)
+    assert big == 2**39 and pa.messages(2) == 1
+    xs = [j + 0.5 for j in (0, 1, 2, 12345, 2**38, big - 2)]  # midpoints
+    xs += [-0.5, big - 0.5, -5.25, -1e6, big + 7.25, 1e15]  # clipping
+    xs += [0.0, 3.0, 3.25, 3.75, 2**38 + 0.25, big - 1.0]
+    y_a = np.zeros((len(xs), 3))
+    y_a[:, 1] = [(2.0 - x * 2.0**-37) / 2.0 for x in xs]  # y = h theta
+    y_a[:, 0] = np.linspace(-1e9, 1e9, len(xs))  # user 2's observation
+    y_a[0, 0] = 0.0  # 0/h would be nan
+    # both users just under 2^40 points, gains that round; grid
+    # coordinates stay >= 0.3 from a midpoint, beyond float error
+    cfg_b = channel.ChannelConfig(h11=0.8, h12=0.6, h21=0.6, h22=0.8,
+                                  p1=3.0, p2=7.0)
+    pb = make_params(n=40, r1=1.0 - 3e-11, r2=0.99, cfg=cfg_b)
+    assert all(2**39 < pb.messages(i) < 2**40 for i in (1, 2))
+    rng = np.random.default_rng(5)
+    cases = [(pa, y_a)]
+    y_b = np.zeros((40, 3))
+    for col, i in ((1, 1), (0, 2)):
+        big_i = pb.messages(i)
+        sp, h = math.sqrt(cfg_b.power(i)), (cfg_b.h11, cfg_b.h12)[i - 1]
+        x = (rng.integers(0, big_i, 40)
+             + rng.choice([0.0, 0.2, 0.8], 40)).astype(float)
+        x[:4] = (-3.7, -2e9, big_i + 2.2, 1e14)
+        y_b[:, col] = h * (sp - x * (2.0 * sp / big_i))
+    cases.append((pb, y_b))
+    for params, y_init in cases:
+        with np.errstate(all="raise"):
+            m_hat = coder.decode_batch(params, np.zeros((2, len(y_init))),
+                                       y_init)
+        for i, col in ((1, 1), (2, 0)):
+            big_i = params.messages(i)
+            if big_i == 1:
+                assert m_hat[i - 1].tolist() == [1] * len(y_init)
+                continue
+            h = Fraction((params.cfg.h11, params.cfg.h12)[i - 1])
+            sp = Fraction(math.sqrt(params.cfg.power(i)))
+            want = [nearest_index(Fraction(y) / h, sp, big_i)
+                    for y in y_init[:, col].tolist()]
+            assert m_hat[i - 1].tolist() == want
+    # decode is the batch of one
+    dec = fresh_decoder(pa)
+    for row in y_a[:3]:
+        uses = [channel.ChannelUse(0.0, 0.0, y, 0.0, 0.0, 0.0) for y in row]
+        assert coder.decode(dec, pa, uses) == (
+            nearest_index(Fraction(row[1]) / Fraction(0.5), Fraction(2), big),
+            1)
 
 
 def test_decode_exact_matches_decoder_path():

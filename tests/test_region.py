@@ -332,6 +332,19 @@ def test_sample_boundary_members_pass_contains(s11, s12, s21, s22, fb, res):
         assert region.contains(cfg, t, feedback=fb, grid_n=res)
 
 
+def test_sample_boundary_leaves_grid_cache_alone():
+    # only contains keeps grids; a boundary sample would hold one per call
+    cfg = channel.from_snr(6, 4, 3, 2)
+    before = region._grid_boxes.cache_info()
+    for fb in (True, False):
+        region.sample_boundary_records(cfg, feedback=fb, resolution=9)
+    after = region._grid_boxes.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses
+    region.contains(cfg, region.RateTriplet(0.0, 0.0, 0.0), grid_n=9)
+    assert region._grid_boxes.cache_info().misses == before.misses + 1
+
+
 def test_sample_boundary_is_pareto():
     ts = region.sample_boundary(SYM10, feedback=True, resolution=6)
     arr = np.array([(t.r1, t.r2, t.b) for t in ts])
