@@ -1,4 +1,4 @@
-"""Two-user Gaussian MAC with an energy harvester: model and single channel uses.
+"""Two-user Gaussian MAC with an energy harvester: the channel model.
 
 The receiver sees  y1 = h11*x1 + h12*x2 + z   and the harvester sees
 y2 = h21*x1 + h22*x2 + q,  with z, q unit-variance noises.  Each
@@ -107,43 +107,7 @@ def from_snr(snr11: float, snr12: float, snr21: float, snr22: float,
                          noise_correlation=noise_correlation)
 
 
-def step(cfg: ChannelConfig, x1: float, x2: float, z: float, q: float) -> ChannelUse:
-    """One deterministic channel use given input symbols and noise draws."""
-    y1 = cfg.h11 * x1 + cfg.h12 * x2 + z
-    y2 = cfg.h21 * x1 + cfg.h22 * x2 + q
-    return ChannelUse(x1=x1, x2=x2, y1=y1, y2=y2, z=z, q=q)
-
-
 def max_energy_rate(cfg: ChannelConfig) -> float:
     """Largest feasible average energy rate: fully correlated max-power inputs."""
     s21, s22 = cfg.snr21, cfg.snr22
     return 1.0 + s21 + s22 + 2.0 * math.sqrt(s21 * s22)
-
-
-_CONFIG_KEYS = ("h11", "h12", "h21", "h22", "p1", "p2", "noise_correlation")
-
-
-def save_config(cfg: ChannelConfig, path) -> None:
-    """Write the config as flat key=value lines (decimal '.', 17 sig digits)."""
-    with open(path, "w", encoding="ascii") as fh:
-        for key in _CONFIG_KEYS:
-            fh.write(f"{key}={getattr(cfg, key):.17g}\n")
-
-
-def load_config(path) -> ChannelConfig:
-    """Read a config written by save_config (unknown keys rejected)."""
-    values = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = float(raw)
-    missing = [k for k in _CONFIG_KEYS if k != "noise_correlation" and k not in values]
-    if missing:
-        raise ValueError(f"missing config keys: {missing}")
-    return ChannelConfig(**values)

@@ -99,6 +99,8 @@ def cmd_region(args) -> int:
 
 def cmd_sumcap(args) -> int:
     cfg = channel.from_snr(*args.snr)
+    if args.bmax is not None and not 0.0 <= args.bmax < math.inf:
+        raise ValueError("--bmax must be finite and nonnegative")
     bmax = args.bmax if args.bmax is not None else channel.max_energy_rate(cfg)
     grid = np.linspace(0.0, bmax, args.points)
     rows = [(b, region.sum_capacity_fb(cfg, b), region.sum_capacity_nf(cfg, b))

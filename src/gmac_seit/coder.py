@@ -29,11 +29,10 @@ t = 1..n runs as numpy vectors across trials.  The per-use loop does only
 what depends on the step before (inputs, y1, y' and the error update); the
 NIC terms are formed for the whole block before it, the receiver's mean is
 reduced from the stored y' after it, and the tail (decoding, energy rate
-and consumed energies) is whole-array work across trials.  Every element
-still goes through the same float operations in the same order as the
-step-level API (init_phase, encode_step, channel.step, receiver_update,
-decode), so the results are bit-identical to a block replayed one use at a
-time.  simulate_block is the batch of one, and decode is decode_batch's.
+and consumed energies) is whole-array work across trials.  simulate_block
+is the batch of one.  The tests check the engine bit for bit against
+tests/_oracles.py::replay_block, an independent replay of one block in
+scalar floats, use by use.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelUse, step
+from .channel import ChannelConfig, ChannelUse
 from .region import OperatingPoint, region_box_fb, solve_rho_star
 
 
@@ -76,8 +75,8 @@ class SchemeParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("blocklength n must be >= 1")
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError("rates must be nonnegative")
+        if not (0.0 <= self.r1 < math.inf and 0.0 <= self.r2 < math.inf):
+            raise ValueError("rates must be finite and nonnegative")
         if not (0.0 <= self.beta1 <= 1.0 and 0.0 <= self.beta2 <= 1.0):
             raise ValueError("power splits must lie in [0,1]")
         if self.seed < 0:
@@ -119,38 +118,6 @@ def message_point(m: int, rate: float, n: int, p: float) -> float:
 
 
 @dataclass
-class EncoderState:
-    """Joint view of both transmitters' coding state (perfect feedback)."""
-
-    theta: tuple[float, float]
-    xi: tuple[float, float]
-    err_norm: list  # normalized estimation errors (Xi_i - Xihat_i)/sigma_i
-
-
-@dataclass
-class DecoderState:
-    """Receiver-side MMSE state, mirrored bit-identically by both encoders."""
-
-    mean2: list  # (Xihat_1, Xihat_2)
-    log2_sigma: list  # log2 of posterior std of each Xi_i
-    corr: float  # posterior error correlation (sign alternates)
-    w_seq: np.ndarray
-    t: int = 0
-
-    def cov2(self) -> np.ndarray:
-        """Posterior covariance matrix (diagonal underflows for large t)."""
-        s1 = 2.0 ** self.log2_sigma[0]
-        s2 = 2.0 ** self.log2_sigma[1]
-        off = self.corr * s1 * s2
-        return np.array([[s1 * s1, off], [off, s2 * s2]])
-
-    def copy(self) -> "DecoderState":
-        return DecoderState(mean2=list(self.mean2),
-                            log2_sigma=list(self.log2_sigma),
-                            corr=self.corr, w_seq=self.w_seq, t=self.t)
-
-
-@dataclass
 class TransmissionTrace:
     """Everything observable about one simulated block."""
 
@@ -169,54 +136,6 @@ class TransmissionTrace:
     energy2: float
 
 
-def gamma_scale(params: SchemeParams, dec: DecoderState, i: int) -> float:
-    """Per-step amplification gamma_i,t = sqrt(beta_i P_i / cov2[i,i])."""
-    bp = params.beta(i) * params.cfg.power(i)
-    return math.sqrt(bp) * 2.0 ** (-dec.log2_sigma[i - 1])
-
-
-def init_phase(params: SchemeParams, m1: int, m2: int, noise,
-               q_noise=(0.0, 0.0, 0.0)):
-    """Three bootstrap uses t = -2, -1, 0 carrying (0, Theta2), (Theta1, 0), (0, 0).
-
-    Transmitter i recovers the receiver noise of the use it stayed silent in
-    (it knows the other's contribution is absent from its own signal) plus
-    Z_0, and forms Xi_i = sqrt(1-rho*) Z_{-i} + sqrt(rho*) Z_0.
-    """
-    cfg = params.cfg
-    th1 = message_point(m1, params.r1, params.n, cfg.p1)
-    th2 = message_point(m2, params.r2, params.n, cfg.p2)
-    z_m2, z_m1, z_0 = noise
-    uses = [step(cfg, 0.0, th2, z_m2, q_noise[0]),
-            step(cfg, th1, 0.0, z_m1, q_noise[1]),
-            step(cfg, 0.0, 0.0, z_0, q_noise[2])]
-    xi1, xi2 = _xi(params.rho_star(), z_m2, z_m1, z_0)
-    return xi1, xi2, uses
-
-
-def _xi(rs: float, z_m2, z_m1, z_0):
-    """(Xi_1, Xi_2) from the init-phase receiver noises (floats or arrays)."""
-    return (math.sqrt(1.0 - rs) * z_m1 + math.sqrt(rs) * z_0,
-            math.sqrt(1.0 - rs) * z_m2 + math.sqrt(rs) * z_0)
-
-
-def _ic_amplitudes(params: SchemeParams) -> tuple[float, float]:
-    cfg = params.cfg
-    return (math.sqrt(params.beta1 * cfg.snr11),
-            math.sqrt(params.beta2 * cfg.snr12))
-
-
-def _nic_gain(params: SchemeParams) -> float:
-    cfg = params.cfg
-    return (cfg.h11 * math.sqrt((1.0 - params.beta1) * cfg.p1)
-            + cfg.h12 * math.sqrt((1.0 - params.beta2) * cfg.p2))
-
-
-def _update_coeffs(dec: DecoderState, params: SchemeParams):
-    """Innovation coefficients for Y' = a1*en1 + a2*en2 + Z (en = normalized error)."""
-    return _coeffs(dec.corr, *_ic_amplitudes(params))
-
-
 def _coeffs(r: float, s1: float, s2: float):
     """(a1, a2, v, d1, d2) at error correlation r and IC amplitudes (s1, s2).
 
@@ -231,39 +150,6 @@ def _coeffs(r: float, s1: float, s2: float):
     d1 = math.sqrt(1.0 - a1 * a1 / v)  # v - a1^2 = s2^2(1-r^2) + 1 > 0
     d2 = math.sqrt(1.0 - a2 * a2 / v)
     return a1, a2, v, d1, d2
-
-
-def encode_step(enc: EncoderState, dec_mirror: DecoderState,
-                params: SchemeParams, t: int) -> tuple[float, float]:
-    """Channel inputs at payload step t: scaled error on top of the NIC carrier."""
-    if not 1 <= t <= params.n:
-        raise ValueError("t outside 1..n")
-    cfg = params.cfg
-    sign2 = -1.0 if dec_mirror.corr < 0.0 else 1.0
-    u1 = math.sqrt(params.beta1 * cfg.p1) * enc.err_norm[0]
-    u2 = sign2 * math.sqrt(params.beta2 * cfg.p2) * enc.err_norm[1]
-    w = dec_mirror.w_seq[t - 1]
-    x1 = u1 + math.sqrt((1.0 - params.beta1) * cfg.p1) * w
-    x2 = u2 + math.sqrt((1.0 - params.beta2) * cfg.p2) * w
-    return x1, x2
-
-
-def receiver_update(dec: DecoderState, params: SchemeParams, y1: float,
-                    t: int) -> DecoderState:
-    """Exact joint-Gaussian posterior update after observing y1 at step t."""
-    if not 1 <= t <= params.n:
-        raise ValueError("t outside 1..n")
-    yp = y1 - _nic_gain(params) * dec.w_seq[t - 1]
-    a1, a2, v, d1, d2 = _update_coeffs(dec, params)
-    sig1 = 2.0 ** dec.log2_sigma[0]
-    sig2 = 2.0 ** dec.log2_sigma[1]
-    mean2 = [dec.mean2[0] + sig1 * a1 / v * yp,
-             dec.mean2[1] + sig2 * a2 / v * yp]
-    log2_sigma = [dec.log2_sigma[0] + 0.5 * math.log2(d1 * d1),
-                  dec.log2_sigma[1] + 0.5 * math.log2(d2 * d2)]
-    corr = (dec.corr - a1 * a2 / v) / (d1 * d2)
-    return DecoderState(mean2=mean2, log2_sigma=log2_sigma, corr=corr,
-                        w_seq=dec.w_seq, t=t)
 
 
 def decode_batch(params: SchemeParams, mean: np.ndarray,
@@ -297,20 +183,15 @@ def decode_batch(params: SchemeParams, mean: np.ndarray,
     return out
 
 
-def decode(dec: DecoderState, params: SchemeParams, y_init) -> tuple[int, int]:
-    """decode_batch for one block whose init uses are the ChannelUses y_init."""
-    m = decode_batch(params, np.array(dec.mean2)[:, None],
-                     np.array([[u.y1 for u in y_init]]))
-    return int(m[0, 0]), int(m[1, 0])
-
-
-def _decode_exact(enc: EncoderState, dec: DecoderState, params: SchemeParams,
+def _decode_exact(params: SchemeParams, err_norm, log2_sigma,
                   m_true: tuple[int, int]) -> tuple[int, int]:
     """Nearest-neighbor rule evaluated through the normalized error.
 
-    theta_hat - theta(m) = (Xi - Xihat)/(h sqrt(1-rho*)), so the decoded
-    index is m shifted by round(err/(h sqrt(1-rho*) delta)); computing the
-    shift in log2 avoids the underflow of both err and delta at large n.
+    err_norm and log2_sigma are one block's final normalized errors and
+    log2 posterior stds.  Since theta_hat - theta(m) equals
+    (Xi - Xihat)/(h sqrt(1-rho*)), the decoded index is m shifted by
+    round(err/(h sqrt(1-rho*) delta)); computing the shift in log2 avoids
+    the underflow of both err and delta at large n.
     """
     rs = params.rho_star()
     if rs >= 1.0:
@@ -320,14 +201,14 @@ def _decode_exact(enc: EncoderState, dec: DecoderState, params: SchemeParams,
     for i in (1, 2):
         big = params.messages(i)
         m = m_true[i - 1]
-        en = enc.err_norm[i - 1]
+        en = err_norm[i - 1]
         if en == 0.0 or big == 1:
             out.append(min(m, big))
             continue
         h = cfg.h11 if i == 1 else cfg.h12
         p = cfg.power(i)
         log2_delta = 1.0 + 0.5 * math.log2(p) - math.log2(big)
-        log2_shift = (math.log2(abs(en)) + dec.log2_sigma[i - 1]
+        log2_shift = (math.log2(abs(en)) + log2_sigma[i - 1]
                       - math.log2(h) - 0.5 * math.log2(1.0 - rs) - log2_delta)
         if log2_shift < -2.0:
             out.append(m)
@@ -393,10 +274,13 @@ class CoeffSchedule:
 def coeff_schedule(params: SchemeParams) -> CoeffSchedule:
     """Iterate the receiver's covariance recursion through all n steps.
 
-    The arithmetic is receiver_update's, step by step, so every entry is
-    bit-identical to what the step-level API computes at that step.
+    Row t-1 holds the coefficients of step t at the correlation left by
+    step t-1, starting from rho*; log2_sigma and corr are the state after
+    step n.
     """
-    s1, s2 = _ic_amplitudes(params)
+    cfg = params.cfg
+    s1 = math.sqrt(params.beta1 * cfg.snr11)
+    s2 = math.sqrt(params.beta2 * cfg.snr12)
     r = params.rho_star()
     l1 = l2 = 0.0
     rows = np.empty((params.n, 8))
@@ -485,8 +369,11 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
     x[1, :, 0] = th[1]
     y1 = np.empty((k, n + 3))
     y1[:, :3] = cfg.h11 * x[0, :, :3] + cfg.h12 * x[1, :, :3] + z[:, :3]
-    xi = np.array(_xi(params.rho_star(), z[:, 0], z[:, 1], z[:, 2]))
-    err = xi.copy()  # (2, trials) normalized errors, en_i = Xi_i at t = 1
+    # (2, trials) normalized errors, en_i = Xi_i = sqrt(1-rho*) Z_{-i}
+    # + sqrt(rho*) Z_0 at t = 1; columns 0, 1, 2 of z are Z_{-2}, Z_{-1}, Z_0
+    rs = params.rho_star()
+    err = np.array((math.sqrt(1.0 - rs) * z[:, 1] + math.sqrt(rs) * z[:, 2],
+                    math.sqrt(1.0 - rs) * z[:, 0] + math.sqrt(rs) * z[:, 2]))
 
     # payload: per use, only the encoders' mirror update of err depends on
     # the step before; the NIC terms are formed up front and the receiver's
@@ -498,7 +385,8 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
                     [math.sqrt((1.0 - params.beta2) * cfg.p2)]])
     h = np.array([[cfg.h11], [cfg.h12]])
     np.multiply(nic[:, :, None], w, out=x[:, :, 3:])  # nic_i * w
-    yp = np.multiply(_nic_gain(params), w.T, order="C")  # (n, trials)
+    nic_gain = cfg.h11 * nic[0, 0] + cfg.h12 * nic[1, 0]
+    yp = np.multiply(nic_gain, w.T, order="C")  # (n, trials)
     u = np.empty((2, k))
     hx = np.empty((2, k))
     innov = np.empty((2, k))
@@ -524,14 +412,8 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
 
     energy = th * th + np.sum(x[:, :, 3:] ** 2, axis=2)
     if max(params.messages(1), params.messages(2)) > 2**40:
-        m_hat = []
-        for row, m_true in enumerate(messages):
-            dec = DecoderState(mean2=list(mean[:, row]),
-                               log2_sigma=list(sched.log2_sigma),
-                               corr=sched.corr, w_seq=w[row], t=n)
-            enc = EncoderState(theta=tuple(th[:, row]), xi=tuple(xi[:, row]),
-                               err_norm=list(err[:, row]))
-            m_hat.append(_decode_exact(enc, dec, params, m_true))
+        m_hat = [_decode_exact(params, err[:, row], sched.log2_sigma, m_true)
+                 for row, m_true in enumerate(messages)]
     else:
         m_hat = list(zip(*decode_batch(params, mean, y1[:, :3]).tolist()))
     return BlockBatch(x=x, y1=y1, y2=y2, z=z, q=q, w=w, nic=nic,

@@ -17,7 +17,9 @@ across trials.  The per-trial Python work left is each trial's streams,
 messages and PAM points (and _decode_exact beyond 2^40 messages), plus
 the aggregation below, which adds in trial order on purpose: np.sum
 (pairwise) or the builtin sum (compensated since Python 3.12) would
-change the last bits of the report.
+change the last bits of the report.  Every per-trial input to it (the
+decisions, b_hat and the consumed energies) comes from the engine, which
+the tests check bit for bit against tests/_oracles.py::replay_block.
 """
 from __future__ import annotations
 
@@ -48,8 +50,10 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not math.isfinite(self.target_b):
+            raise ValueError("target_b must be finite")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         bmax = max_energy_rate(self.params.cfg)
         if self.target_b > bmax + 1e-9 * max(1.0, bmax):
             raise ValueError("target_b exceeds the maximum energy rate")
@@ -119,11 +123,6 @@ def _chunks(trials: int, n: int) -> list[tuple[int, int]]:
     count = -(-trials // max(1, _CHUNK_FLOATS // (n + 3)))
     return [(trials * i // count, trials * (i + 1) // count)
             for i in range(count)]
-
-
-def empirical_energy_rate(trace: TransmissionTrace) -> float:
-    """Time average of y2^2 over the n payload uses."""
-    return float(np.mean(trace.y2**2))
 
 
 def run(sc: SimConfig) -> SimReport:

@@ -4,10 +4,14 @@ These deliberately avoid the library's own code paths: dense scanning
 instead of bisection, exhaustive grid maximization instead of closed
 forms, a naive unnormalized covariance recursion instead of the
 log-domain one, a 2x2 matrix error-state recursion for the law of
-the empirical energy rate instead of the coefficient schedule, and an
-all-pairs dominance check for the region boundary instead of a sweep.
+the empirical energy rate instead of the coefficient schedule, an
+all-pairs dominance check for the region boundary instead of a sweep,
+and a scalar use-by-use replay of one coded block with exact-rational
+decisions instead of the trial-batched engine.  None of them imports
+the library; tests/test_oracles_independent.py keeps it that way.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -87,8 +91,9 @@ def pareto_corners(grid):
 def naive_posterior(params, yprimes):
     """Unnormalized joint-Gaussian posterior recursion (underflows for large t).
 
-    Oracle for receiver_update: same observation model, same transmitter-2
-    sign rule, but carried on the raw 2x2 covariance matrix.
+    Oracle for the receiver's recursion (coeff_schedule): same observation
+    model, same transmitter-2 sign rule, but carried on the raw 2x2
+    covariance matrix.
     """
     rs = params.rho_star()
     cov = np.array([[1.0, rs], [rs, 1.0]])
@@ -168,3 +173,150 @@ def energy_rate_moments(params):
             break
         cross = np.einsum("sij,sj->si", m[k:n - 1], cross[:-1])
     return float(var.mean()), 2.0 * sum_sq / (n * n)
+
+
+class FixedDraws:
+    """Stand-in for a numpy Generator whose standard_normal calls return
+    the given draws in turn (written into out= when one is passed)."""
+
+    def __init__(self, *draws):
+        self._draws = iter(draws)
+
+    def standard_normal(self, size=None, out=None):
+        draw = np.array(next(self._draws), dtype=float)
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
+
+
+def nearest_index(theta_hat, sp, big):
+    """Index m in 1..big whose PAM point sp (1 - 2 (m-1)/big) lies nearest
+    to theta_hat, ties to the smaller m; exact rational arithmetic."""
+    x = (sp - theta_hat) * big / (2 * sp)  # grid coordinate m - 1
+    lo = min(max(math.floor(x), 0), big - 1)
+    return 1 + min((c for c in (lo, lo + 1) if c < big),
+                   key=lambda c: (abs(x - c), c))
+
+
+def replay_block(params, m1, m2, rng):
+    """One block of the feedback scheme replayed use by use in scalar floats.
+
+    This is Ozarow's MMSE error refinement (IEEE Trans. IT, 1984) with the
+    shared energy carrier W_t on top: three init uses carrying (0, Theta2),
+    (Theta1, 0) and (0, 0), then n uses in which transmitter i sends
+    sqrt(beta_i P_i) times its normalized estimation error (transmitter 2
+    with the sign of the current error correlation) plus
+    sqrt((1-beta_i) P_i) W_t, and the receiver updates its MMSE estimate.
+    It is written from that recursion, not from the library, but each
+    float operation comes in the batch engine's order, so the two agree
+    bit for bit.  It reads params' fields, params.rho_star() and
+    params.messages(i) only.
+
+    rng is drawn from in the engine's order: n+3 receiver noises, n+3
+    independent harvester noise components, n carrier symbols.  Messages
+    are decided by the nearest PAM point in exact rationals from the
+    float estimate of Theta_i; above 2^40 messages (where the engine
+    switches rule) m_i is shifted by the exact error
+    (Xi_i - Xihat_i) / (h_1i sqrt(1-rho*) delta_i) instead.  b_hat and the
+    energies are numpy sums, pairwise as in the engine.
+
+    Returns (fields, state).  fields maps the TransmissionTrace field names
+    to their values, the init uses as (x1, x2, y1, y2, z, q) tuples; state
+    holds the final "log2_sigma", "corr", "mean" (Xihat_1, Xihat_2), "err"
+    (normalized errors), and "xi" and "y_init" (the init-use outputs y1).
+    """
+    cfg = params.cfg
+    n = params.n
+    h11, h12, h21, h22 = cfg.h11, cfg.h12, cfg.h21, cfg.h22
+    p = (cfg.p1, cfg.p2)
+    beta = (params.beta1, params.beta2)
+    c = cfg.noise_correlation
+    z = rng.standard_normal(n + 3).tolist()
+    q_ind = rng.standard_normal(n + 3).tolist()
+    w = rng.standard_normal(n).tolist()
+    q = [c * zj + math.sqrt(1.0 - c * c) * qj for zj, qj in zip(z, q_ind)]
+    big = (params.messages(1), params.messages(2))
+
+    theta = []
+    for i, m in ((0, m1), (1, m2)):  # PAM point sqrt(P) (1 - 2 (m-1)/big)
+        num = 2 * (m - 1)
+        frac = (num / big[i] if big[i] < 2**52
+                else ((num << 64) // big[i]) / 2.0**64)
+        theta.append(math.sqrt(p[i]) * (1.0 - frac))
+    init_uses = []
+    for j, (x1, x2) in enumerate(((0.0, theta[1]), (theta[0], 0.0),
+                                  (0.0, 0.0))):
+        init_uses.append((x1, x2, h11 * x1 + h12 * x2 + z[j],
+                          h21 * x1 + h22 * x2 + q[j], z[j], q[j]))
+
+    # Xi_i = sqrt(1-rho*) Z_{-i} + sqrt(rho*) Z_0; z[0], z[1], z[2] are
+    # Z_{-2}, Z_{-1}, Z_0
+    rs = params.rho_star()
+    xi = (math.sqrt(1.0 - rs) * z[1] + math.sqrt(rs) * z[2],
+          math.sqrt(1.0 - rs) * z[0] + math.sqrt(rs) * z[2])
+    e1, e2 = xi  # normalized errors (Xi_i - Xihat_i) / sigma_i
+    s1 = math.sqrt(beta[0] * (h11 ** 2 * p[0]))  # IC amplitudes at receiver
+    s2 = math.sqrt(beta[1] * (h12 ** 2 * p[1]))
+    amp1, amp2 = math.sqrt(beta[0] * p[0]), math.sqrt(beta[1] * p[1])
+    nic1 = math.sqrt((1.0 - beta[0]) * p[0])
+    nic2 = math.sqrt((1.0 - beta[1]) * p[1])
+    nic_gain = h11 * nic1 + h12 * nic2
+    r = rs  # posterior error correlation
+    l1 = l2 = 0.0  # log2 sigma_i
+    mean1 = mean2 = 0.0  # Xihat_i
+    cols = {key: [] for key in ("x1", "x2", "y1", "y2", "u1", "u2")}
+    for t in range(n):
+        sign2 = -1.0 if r < 0.0 else 1.0
+        s2t = sign2 * s2
+        a1 = s1 + r * s2t
+        a2 = s2t + r * s1
+        v = s1 * s1 + s2t * s2t + 2.0 * r * s1 * s2t + 1.0
+        d1 = math.sqrt(1.0 - a1 * a1 / v)
+        d2 = math.sqrt(1.0 - a2 * a2 / v)
+        x1 = nic1 * w[t] + amp1 * e1
+        x2 = nic2 * w[t] + sign2 * amp2 * e2
+        y1 = h11 * x1 + h12 * x2 + z[t + 3]
+        y2 = h21 * x1 + h22 * x2 + q[t + 3]
+        yp = y1 - nic_gain * w[t]  # the carrier is known at the receiver
+        mean1 += 2.0 ** l1 * a1 / v * yp
+        mean2 += 2.0 ** l2 * a2 / v * yp
+        e1 = (e1 - a1 * yp / v) / d1
+        e2 = (e2 - a2 * yp / v) / d2
+        l1 += 0.5 * math.log2(d1 * d1)
+        l2 += 0.5 * math.log2(d2 * d2)
+        r = (r - a1 * a2 / v) / (d1 * d2)
+        for key, val in (("x1", x1), ("x2", x2), ("y1", y1), ("y2", y2),
+                         ("u1", x1 - nic1 * w[t]), ("u2", x2 - nic2 * w[t])):
+            cols[key].append(val)
+
+    y_init = tuple(use[2] for use in init_uses)
+    h = (h11, h12)
+    m_hat = []
+    for i, m, mean, en, log2_sigma, y_obs in (
+            (0, m1, mean1, e1, l1, y_init[1]),
+            (1, m2, mean2, e2, l2, y_init[0])):
+        sp = Fraction(math.sqrt(p[i]))
+        if big[i] == 1:
+            m_hat.append(1)
+        elif max(big) > 2**40:
+            k = math.floor(log2_sigma)
+            sigma = Fraction(2) ** k * Fraction(2.0 ** (log2_sigma - k))
+            shift = (Fraction(en) * sigma * big[i] / (
+                Fraction(h[i]) * Fraction(math.sqrt(1.0 - rs)) * 2 * sp))
+            m_hat.append(min(max(m - math.floor(shift + Fraction(1, 2)), 1),
+                             big[i]))
+        else:
+            theta_hat = (y_obs + math.sqrt(rs / (1.0 - rs)) * y_init[2]
+                         - mean / math.sqrt(1.0 - rs)) / h[i]
+            m_hat.append(nearest_index(Fraction(theta_hat), sp, big[i]))
+    m_hat = tuple(m_hat)
+    fields = {key: np.array(val) for key, val in cols.items()}
+    fields.update(
+        init_uses=init_uses, m_true=(m1, m2), m_hat=m_hat,
+        error=m_hat != (m1, m2), b_hat=float(np.mean(fields["y2"] ** 2)),
+        energy1=theta[0] * theta[0] + float(np.sum(fields["x1"] ** 2)),
+        energy2=theta[1] * theta[1] + float(np.sum(fields["x2"] ** 2)))
+    state = {"log2_sigma": (l1, l2), "corr": r, "mean": (mean1, mean2),
+             "err": (e1, e2), "xi": xi, "y_init": y_init}
+    return fields, state

@@ -4,22 +4,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmac_seit import channel
+from _oracles import FixedDraws
+from gmac_seit import channel, coder
 
 snrs = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
+def first_payload_use(cfg, x1, x2, z, q):
+    """The simulator's first payload channel use with inputs (x1, x2), up to
+    the rounding of x_i / sqrt(p_i) * sqrt(p_i), and noises (z, q).
+
+    Transmitter 1 sends only the energy carrier (beta1 = 0), so
+    x1 = sqrt(p1) W_1; transmitter 2 sends only information (beta2 = 1),
+    and with rho* = 0 its first input is sqrt(p2) Xi_2 = sqrt(p2) Z_{-2}.
+    """
+    params = coder.SchemeParams(cfg=cfg, n=1, r1=0.0, r2=0.0,
+                                beta1=0.0, beta2=1.0)
+    assert params.rho_star() == 0.0
+    rng = FixedDraws([x2 / math.sqrt(cfg.p2), 0.0, 0.0, z], [0.0, 0.0, 0.0, q],
+                     [x1 / math.sqrt(cfg.p1)])
+    tr = coder.simulate_block(params, 1, 1, rng)
+    return channel.ChannelUse(x1=tr.x1[0], x2=tr.x2[0], y1=tr.y1[0],
+                              y2=tr.y2[0], z=z, q=q)
+
+
 def test_step_zero_inputs():
     cfg = channel.from_snr(10, 10, 10, 10)
-    use = channel.step(cfg, 0.0, 0.0, 0.0, 0.0)
+    use = first_payload_use(cfg, 0.0, 0.0, 0.0, 0.0)
     assert use.y1 == 0.0 and use.y2 == 0.0
 
 
 def test_step_equal_gains():
     h = 1.0 / math.sqrt(2.0)
     cfg = channel.ChannelConfig(h11=h, h12=h, h21=h, h22=h, p1=1.0, p2=1.0)
-    use = channel.step(cfg, 1.0, 1.0, 0.0, 0.0)
+    use = first_payload_use(cfg, 1.0, 1.0, 0.0, 0.0)
     assert use.y1 == pytest.approx(math.sqrt(2.0))
     assert use.y2 == pytest.approx(math.sqrt(2.0))
 
@@ -27,7 +46,7 @@ def test_step_equal_gains():
 def test_step_hand_evaluation():
     cfg = channel.ChannelConfig(h11=0.6, h12=0.8, h21=0.0, h22=0.0,
                                 p1=1.0, p2=1.0)
-    use = channel.step(cfg, 2.0, -1.0, 0.5, 0.0)
+    use = first_payload_use(cfg, 2.0, -1.0, 0.5, 0.0)
     assert use.y1 == pytest.approx(0.9)
 
 
@@ -59,8 +78,8 @@ def test_from_snr_mixed_quadruple():
 @settings(max_examples=100)
 def test_superposition(x1, x2, a):
     cfg = channel.from_snr(3, 5, 7, 2)
-    scaled = channel.step(cfg, a * x1, a * x2, 0.0, 0.0)
-    base = channel.step(cfg, x1, x2, 0.0, 0.0)
+    scaled = first_payload_use(cfg, a * x1, a * x2, 0.0, 0.0)
+    base = first_payload_use(cfg, x1, x2, 0.0, 0.0)
     assert scaled.y1 == pytest.approx(a * base.y1, rel=1e-12, abs=1e-12)
     assert scaled.y2 == pytest.approx(a * base.y2, rel=1e-12, abs=1e-12)
 
@@ -87,10 +106,3 @@ def test_invalid_fields_rejected():
         channel.ChannelConfig(h11=0.5, h12=0.5, h21=0.5, h22=0.5,
                               p1=1.0, p2=1.0, noise_correlation=1.5)
 
-
-def test_config_file_round_trip(tmp_path):
-    cfg = channel.from_snr(1.25, 4.5, 9.75, 16.125)
-    path = tmp_path / "cfg.txt"
-    channel.save_config(cfg, path)
-    loaded = channel.load_config(path)
-    assert loaded == cfg

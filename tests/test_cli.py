@@ -149,6 +149,21 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["region", "--snr", "10,10,10"])  # not a quadruple
     assert exc.value.code == 2
+    # non-finite rates, energy targets and margins are usage errors
+    sim = ["simulate", "--snr", "10,10,10,10", "--beta", "1,1", "--n", "10",
+           "--trials", "2", "--out", str(tmp_path / "sim.json")]
+    for extra in (["--rate", "inf,0"], ["--rate-frac", "inf"],
+                  ["--rate", "0.1,0.1", "--target-b", "nan"],
+                  ["--rate", "0.1,0.1", "--target-b=-inf"],
+                  ["--rate", "0.1,0.1", "--epsilon", "nan"],
+                  ["--rate", "0.1,0.1", "--epsilon", "inf"]):
+        assert run_cli(sim + extra) == 2, extra
+    for bmax in ("nan", "inf"):
+        assert run_cli(["sumcap", "--snr", "10,10,10,10", "--points", "3",
+                        "--bmax", bmax,
+                        "--out", str(tmp_path / "sumcap.csv")]) == 2, bmax
+    assert not (tmp_path / "sim.json").exists()
+    assert not (tmp_path / "sumcap.csv").exists()
 
 
 def test_simulate_both_users_zero_snr(tmp_path):

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _oracles import naive_posterior
+from _oracles import FixedDraws, naive_posterior, nearest_index, replay_block
 from gmac_seit import channel, coder, mc, region
 
 SYM10 = channel.from_snr(10, 10, 10, 10)
@@ -16,11 +17,43 @@ def make_params(n=20, r1=0.3, r2=0.3, beta1=1.0, beta2=1.0, seed=0,
                               beta1=beta1, beta2=beta2, seed=seed)
 
 
-def fresh_decoder(params, w_seq=None):
-    if w_seq is None:
-        w_seq = np.zeros(params.n)
-    return coder.DecoderState(mean2=[0.0, 0.0], log2_sigma=[0.0, 0.0],
-                              corr=params.rho_star(), w_seq=w_seq)
+def init_noise_draws(params, z_init, w=0.0):
+    """Draws for a block whose only receiver noise is z_init on the three
+    init uses, with no harvester noise and carrier symbols w."""
+    n = params.n
+    return FixedDraws(np.concatenate([z_init, np.zeros(n)]),
+                      np.zeros(n + 3), np.full(n, w))
+
+
+def block_on_draws(params, z_init, w=0.0, m1=1, m2=1):
+    """simulate_block on init_noise_draws(params, z_init, w)."""
+    return coder.simulate_block(params, m1, m2,
+                                init_noise_draws(params, z_init, w))
+
+
+def receiver_states(params, steps):
+    """(log2_sigma, corr) of the receiver after 0, 1, ..., steps updates,
+    each read off coeff_schedule of a block that long."""
+    states = [((0.0, 0.0), params.rho_star())]
+    for k in range(1, steps + 1):
+        sched = coder.coeff_schedule(dataclasses.replace(params, n=k))
+        states.append((sched.log2_sigma, sched.corr))
+    return states
+
+
+def cov2(log2_sigma, corr):
+    """Posterior covariance matrix of (Xi_1, Xi_2) (underflows for large t)."""
+    s1 = 2.0 ** log2_sigma[0]
+    s2 = 2.0 ** log2_sigma[1]
+    off = corr * s1 * s2
+    return np.array([[s1 * s1, off], [off, s2 * s2]])
+
+
+def decode(params, mean, y_init):
+    """decode_batch for one block: final estimate mean, init outputs y_init."""
+    m = coder.decode_batch(params, np.array(mean)[:, None],
+                           np.array([y_init]))
+    return int(m[0, 0]), int(m[1, 0])
 
 
 # --- message points -----------------------------------------------------------
@@ -48,11 +81,14 @@ def test_message_count_huge():
 
 
 # --- init phase ---------------------------------------------------------------
+# Xi_i is visible as the first payload IC input u_i,1 = sqrt(beta_i P_i) Xi_i
+# (transmitter 2's sign is + at t = 1 since rho* >= 0)
 
 def test_init_phase_zero_noise():
     params = make_params()
-    xi1, xi2, uses = coder.init_phase(params, 1, 1, (0.0, 0.0, 0.0))
-    assert xi1 == 0.0 and xi2 == 0.0
+    tr = block_on_draws(params, (0.0, 0.0, 0.0))
+    assert tr.u1[0] == 0.0 and tr.u2[0] == 0.0  # Xi = 0
+    uses = tr.init_uses
     assert uses[0].x1 == 0.0 and uses[1].x2 == 0.0 and uses[2].x1 == 0.0
     assert uses[1].x1 == pytest.approx(math.sqrt(SYM10.p1))  # m=1 anchor
 
@@ -60,9 +96,13 @@ def test_init_phase_zero_noise():
 def test_init_phase_rho_zero_weights():
     params = make_params(beta2=0.0, r2=0.0)
     assert params.rho_star() == 0.0
-    xi1, xi2, _ = coder.init_phase(params, 1, 1, (1.5, -2.0, 7.0))
-    assert xi1 == -2.0  # Z_{-1}
-    assert xi2 == 1.5   # Z_{-2}
+    tr = block_on_draws(params, (1.5, -2.0, 7.0))
+    assert tr.u1[0] == math.sqrt(SYM10.p1) * -2.0  # Xi_1 = Z_{-1}
+    # transmitter 2 shows its Xi only when it sends information
+    params = make_params(beta1=0.0, r1=0.0)
+    assert params.rho_star() == 0.0
+    tr = block_on_draws(params, (1.5, -2.0, 7.0))
+    assert tr.u2[0] == math.sqrt(SYM10.p2) * 1.5  # Xi_2 = Z_{-2}
 
 
 def test_init_phase_xi_correlation():
@@ -70,16 +110,16 @@ def test_init_phase_xi_correlation():
     rs = params.rho_star()
     rng = np.random.default_rng(42)
     draws = rng.standard_normal((200_000, 3))
-    # vectorized equivalent of init_phase's Xi formula
+    # vectorized equivalent of the engine's Xi formula
     xi1 = math.sqrt(1 - rs) * draws[:, 1] + math.sqrt(rs) * draws[:, 2]
     xi2 = math.sqrt(1 - rs) * draws[:, 0] + math.sqrt(rs) * draws[:, 2]
-    # spot-check the vectorization against the real function
+    # spot-check the vectorization against the engine
     for d in draws[:10]:
-        a, b, _ = coder.init_phase(params, 1, 1, tuple(d))
-        assert a == pytest.approx(math.sqrt(1 - rs) * d[1]
-                                  + math.sqrt(rs) * d[2])
-        assert b == pytest.approx(math.sqrt(1 - rs) * d[0]
-                                  + math.sqrt(rs) * d[2])
+        tr = block_on_draws(params, d)
+        assert tr.u1[0] == pytest.approx(math.sqrt(SYM10.p1) * (
+            math.sqrt(1 - rs) * d[1] + math.sqrt(rs) * d[2]))
+        assert tr.u2[0] == pytest.approx(math.sqrt(SYM10.p2) * (
+            math.sqrt(1 - rs) * d[0] + math.sqrt(rs) * d[2]))
     emp = float(np.mean(xi1 * xi2))
     stderr = float(np.std(xi1 * xi2) / math.sqrt(len(draws)))
     assert abs(emp - rs) < 3 * stderr
@@ -89,110 +129,84 @@ def test_init_phase_xi_correlation():
 
 def test_encode_step_pure_energy_transmitter():
     params = make_params(beta1=0.0, beta2=0.0, r1=0.0, r2=0.0)
-    w = np.full(params.n, 0.7)
-    dec = fresh_decoder(params, w)
-    enc = coder.EncoderState(theta=(0.0, 0.0), xi=(0.3, -0.4),
-                             err_norm=[0.3, -0.4])
-    x1, x2 = coder.encode_step(enc, dec, params, 1)
-    assert x1 == pytest.approx(math.sqrt(SYM10.p1) * 0.7)
-    assert x2 == pytest.approx(math.sqrt(SYM10.p2) * 0.7)
+    # rho* = 0: the normalized errors start at (Z_{-1}, Z_{-2}) = (0.3, -0.4)
+    tr = block_on_draws(params, (-0.4, 0.3, 0.0), w=0.7)
+    assert tr.x1[0] == pytest.approx(math.sqrt(SYM10.p1) * 0.7)
+    assert tr.x2[0] == pytest.approx(math.sqrt(SYM10.p2) * 0.7)
 
 
 def test_encode_step_first_use_amplitude():
     cfg = channel.from_snr(4.0, 4.0, 0.0, 0.0)
     params = make_params(cfg=cfg)
-    dec = fresh_decoder(params)
-    enc = coder.EncoderState(theta=(0.0, 0.0), xi=(1.0, 0.0),
-                             err_norm=[1.0, 0.0])
-    x1, _ = coder.encode_step(enc, dec, params, 1)
-    assert x1 == pytest.approx(2.0)  # sqrt(beta1 * p1) * Xi1 with beta1*p1 = 4
+    rs = params.rho_star()
+    # Xi = (1, 0): Z_{-1} = 1/sqrt(1-rho*), Z_{-2} = Z_0 = 0
+    tr = block_on_draws(params, (0.0, 1.0 / math.sqrt(1.0 - rs), 0.0))
+    assert tr.x1[0] == pytest.approx(2.0)  # sqrt(beta1 * p1) * Xi1 with beta1*p1 = 4
 
 
 def test_gamma_scale_gives_unit_power():
+    # the engine amplifies the error Xi_i - Xihat_i by
+    # gamma_i = sqrt(beta_i P_i) / sigma_i; with sigma_i from coeff_schedule
+    # and the posterior variance from the unnormalized oracle recursion,
+    # the IC power is beta_i P_i at every step
     params = make_params()
-    dec = fresh_decoder(params)
-    for t in range(1, 15):
+    for t, (log2_sigma, _) in enumerate(receiver_states(params, 13), start=1):
+        _, cov = naive_posterior(params, np.zeros(t - 1))
         for i in (1, 2):
-            g = coder.gamma_scale(params, dec, i)
-            cov_ii = 4.0 ** dec.log2_sigma[i - 1]
-            assert g * g * cov_ii == pytest.approx(
-                params.beta(i) * params.cfg.power(i), rel=1e-9)
-        dec = coder.receiver_update(dec, params, 0.5 * t, t)
+            bp = params.beta(i) * params.cfg.power(i)
+            g = math.sqrt(bp) * 2.0 ** (-log2_sigma[i - 1])
+            assert g * g * cov[i - 1, i - 1] == pytest.approx(bp, rel=1e-9)
 
 
 # --- receiver update ------------------------------------------------------------
 
 def test_receiver_update_uninformative_when_silent():
-    params = make_params(beta1=0.0, beta2=0.0, r1=0.0, r2=0.0)
-    dec = fresh_decoder(params)
-    out = coder.receiver_update(dec, params, 1.23, 1)
-    assert out.mean2 == dec.mean2
-    assert out.log2_sigma == dec.log2_sigma
-    assert out.corr == dec.corr
+    params = make_params(n=1, beta1=0.0, beta2=0.0, r1=0.0, r2=0.0)
+    sched = coder.coeff_schedule(params)
+    # the estimate moves by gain * y', whatever y' is
+    assert sched.gain.tolist() == [[[0.0], [0.0]]]
+    assert sched.log2_sigma == (0.0, 0.0)
+    assert sched.corr == params.rho_star()
 
 
 def test_single_user_covariance_closed_form():
-    params = make_params(beta2=0.0, r2=0.0)
-    dec = fresh_decoder(params)
     n = 12
-    for t in range(1, n + 1):
-        dec = coder.receiver_update(dec, params, 0.1 * t, t)
+    params = make_params(n=n, beta2=0.0, r2=0.0)
+    log2_sigma = coder.coeff_schedule(params).log2_sigma
     # scalar Kalman recursion: sigma^2_t = 1/(1 + snr11)^t
     want = -0.5 * n * math.log2(1.0 + SYM10.snr11)
-    assert dec.log2_sigma[0] == pytest.approx(want, abs=1e-9)
-    assert dec.log2_sigma[1] == 0.0
+    assert log2_sigma[0] == pytest.approx(want, abs=1e-9)
+    assert log2_sigma[1] == 0.0
 
 
 def test_posterior_matches_naive_recursion():
-    params = make_params(cfg=channel.from_snr(10, 3, 1, 1),
+    params = make_params(n=8, cfg=channel.from_snr(10, 3, 1, 1),
                          beta1=0.9, beta2=0.7)
     rng = np.random.default_rng(5)
     yps = rng.standard_normal(8)
-    dec = fresh_decoder(params, np.zeros(20))
-    for t, yp in enumerate(yps, start=1):
-        dec = coder.receiver_update(dec, params, float(yp), t)
+    sched = coder.coeff_schedule(params)
+    got_mean = yps @ sched.gain[:, :, 0]  # Xihat_i = sum_t gain_i,t y'_t
     mean, cov = naive_posterior(params, yps)
-    assert dec.mean2[0] == pytest.approx(mean[0], abs=1e-9)
-    assert dec.mean2[1] == pytest.approx(mean[1], abs=1e-9)
-    got = dec.cov2()
+    assert got_mean[0] == pytest.approx(mean[0], abs=1e-9)
+    assert got_mean[1] == pytest.approx(mean[1], abs=1e-9)
+    got = cov2(sched.log2_sigma, sched.corr)
     assert np.allclose(got, cov, atol=1e-12)
 
 
 def test_covariance_determinant_never_increases():
     params = make_params(n=40)
-    dec = fresh_decoder(params)
-    prev = float(np.linalg.det(dec.cov2()))
-    rng = np.random.default_rng(1)
-    for t in range(1, 30):
-        dec = coder.receiver_update(dec, params, float(rng.normal()), t)
-        cur = float(np.linalg.det(dec.cov2()))
+    dets = [float(np.linalg.det(cov2(*state)))
+            for state in receiver_states(params, 29)]
+    for prev, cur in zip(dets, dets[1:]):
         assert cur <= prev * (1 + 1e-12)
-        prev = cur
-
-
-def test_mirror_is_bit_identical():
-    params = make_params()
-    rng = np.random.default_rng(9)
-    w = rng.standard_normal(params.n)
-    d1 = fresh_decoder(params, w)
-    d2 = d1.copy()
-    for t in range(1, params.n + 1):
-        y = float(rng.normal())
-        d1 = coder.receiver_update(d1, params, y, t)
-        d2 = coder.receiver_update(d2, params, y, t)
-        assert d1.mean2 == d2.mean2
-        assert d1.log2_sigma == d2.log2_sigma
-        assert d1.corr == d2.corr
 
 
 def test_correlation_magnitude_is_stationary():
     params = make_params(n=40, cfg=channel.from_snr(8, 2, 1, 1),
                          beta1=0.6, beta2=0.9)
     rs = params.rho_star()
-    dec = fresh_decoder(params)
-    for t in range(1, 40):
-        dec = coder.receiver_update(dec, params, 0.0, t)
-        assert abs(dec.corr) == pytest.approx(rs, abs=1e-9)
+    for _, corr in receiver_states(params, 39)[1:]:
+        assert abs(corr) == pytest.approx(rs, abs=1e-9)
 
 
 # --- decoding -----------------------------------------------------------------
@@ -200,47 +214,38 @@ def test_correlation_magnitude_is_stationary():
 def test_decode_noiseless_run():
     params = make_params(n=8, r1=0.4, r2=0.3)
     m1, m2 = 2, 3
-    xi1, xi2, uses = coder.init_phase(params, m1, m2, (0.0, 0.0, 0.0))
-    dec = fresh_decoder(params)
-    assert coder.decode(dec, params, uses) == (m1, m2)
+    _, state = replay_block(params, m1, m2,
+                            init_noise_draws(params, (0.0, 0.0, 0.0)))
+    assert decode(params, (0.0, 0.0), state["y_init"]) == (m1, m2)
+    # without any noise the engine's estimate is that same 0
+    assert block_on_draws(params, (0.0, 0.0, 0.0), m1=m1, m2=m2).m_hat == \
+        (m1, m2)
 
 
 def test_decode_with_perfect_estimate():
     params = make_params(n=8, r1=0.4, r2=0.3)
     m1, m2 = 3, 1
     rng = np.random.default_rng(11)
-    noise = tuple(rng.standard_normal(3))
-    xi1, xi2, uses = coder.init_phase(params, m1, m2, noise)
-    dec = fresh_decoder(params)
-    dec.mean2 = [xi1, xi2]
-    assert coder.decode(dec, params, uses) == (m1, m2)
+    noise = rng.standard_normal(3)
+    _, state = replay_block(params, m1, m2, init_noise_draws(params, noise))
+    assert decode(params, state["xi"], state["y_init"]) == (m1, m2)
 
 
 def test_decode_threshold_condition():
     params = make_params(n=8, r1=0.4, r2=0.3)
     m1, m2 = 2, 2
     rng = np.random.default_rng(13)
-    noise = tuple(rng.standard_normal(3))
-    xi1, xi2, uses = coder.init_phase(params, m1, m2, noise)
+    noise = rng.standard_normal(3)
+    _, state = replay_block(params, m1, m2, init_noise_draws(params, noise))
     rs = params.rho_star()
     for i in (1, 2):
         h = SYM10.h11 if i == 1 else SYM10.h12
         delta = 2 * math.sqrt(SYM10.power(i)) / params.messages(i)
         # estimate off by just under the decision threshold
         err = 0.49 * h * math.sqrt(1 - rs) * delta
-        dec = fresh_decoder(params)
-        dec.mean2 = [xi1, xi2]
-        dec.mean2[i - 1] -= err
-        assert coder.decode(dec, params, uses) == (m1, m2)
-
-
-def nearest_index(theta_hat, sp, big):
-    """Index m in 1..big whose PAM point sp (1 - 2 (m-1)/big) lies nearest
-    to theta_hat, ties to the smaller m; exact rational arithmetic."""
-    x = (sp - theta_hat) * big / (2 * sp)  # grid coordinate m - 1
-    lo = min(max(math.floor(x), 0), big - 1)
-    return 1 + min((c for c in (lo, lo + 1) if c < big),
-                   key=lambda c: (abs(x - c), c))
+        mean = list(state["xi"])
+        mean[i - 1] -= err
+        assert decode(params, mean, state["y_init"]) == (m1, m2)
 
 
 def test_decode_batch_nearest_index_rule():
@@ -290,96 +295,42 @@ def test_decode_batch_nearest_index_rule():
             want = [nearest_index(Fraction(y) / h, sp, big_i)
                     for y in y_init[:, col].tolist()]
             assert m_hat[i - 1].tolist() == want
-    # decode is the batch of one
-    dec = fresh_decoder(pa)
-    for row in y_a[:3]:
-        uses = [channel.ChannelUse(0.0, 0.0, y, 0.0, 0.0, 0.0) for y in row]
-        assert coder.decode(dec, pa, uses) == (
-            nearest_index(Fraction(row[1]) / Fraction(0.5), Fraction(2), big),
-            1)
 
 
 def test_decode_exact_matches_decoder_path():
-    # replay a block by hand so both decode rules see identical final states
+    # replay a block so both decode rules see identical final states
     params = make_params(n=12, r1=0.6, r2=0.5, seed=17)
-    cfg = params.cfg
     for trial in range(30):
         rng = np.random.default_rng(trial)
         z = rng.standard_normal(params.n + 3)
         w = rng.standard_normal(params.n)
-        m1 = 1 + trial % params.messages(1)
-        m2 = 1 + (3 * trial) % params.messages(2)
-        xi1, xi2, uses = coder.init_phase(params, m1, m2, z[:3])
-        enc = coder.EncoderState(theta=(uses[1].x1, uses[0].x2),
-                                 xi=(xi1, xi2), err_norm=[xi1, xi2])
-        dec = fresh_decoder(params, w)
-        for t in range(1, params.n + 1):
-            x1, x2 = coder.encode_step(enc, dec, params, t)
-            use = channel.step(cfg, x1, x2, z[t + 2], 0.0)
-            a1, a2, v, d1, d2 = coder._update_coeffs(dec, params)
-            enc.err_norm[0] = (enc.err_norm[0] - a1 * use.y1 / v) / d1
-            enc.err_norm[1] = (enc.err_norm[1] - a2 * use.y1 / v) / d2
-            dec = coder.receiver_update(dec, params, use.y1, t)
-        assert coder._decode_exact(enc, dec, params, (m1, m2)) == \
-            coder.decode(dec, params, uses)
-
-
-def replay_block(params, m1, m2, rng):
-    """One block replayed use by use through the step-level API.
-
-    Returns the trace fields in TransmissionTrace order, plus the final
-    receiver state.
-    """
-    cfg = params.cfg
-    n = params.n
-    z = rng.standard_normal(n + 3)
-    q_ind = rng.standard_normal(n + 3)
-    c = cfg.noise_correlation
-    q = c * z + math.sqrt(1.0 - c * c) * q_ind
-    w = rng.standard_normal(n)
-    xi1, xi2, uses = coder.init_phase(params, m1, m2, z[:3], q[:3])
-    th1, th2 = uses[1].x1, uses[0].x2
-    enc = coder.EncoderState(theta=(th1, th2), xi=(xi1, xi2),
-                             err_norm=[xi1, xi2])
-    dec = fresh_decoder(params, w)
-    nic1 = math.sqrt((1.0 - params.beta1) * cfg.p1)
-    nic2 = math.sqrt((1.0 - params.beta2) * cfg.p2)
-    rows = []
-    for t in range(1, n + 1):
-        x1, x2 = coder.encode_step(enc, dec, params, t)
-        use = channel.step(cfg, x1, x2, z[t + 2], q[t + 2])
-        yp = use.y1 - coder._nic_gain(params) * w[t - 1]
-        a1, a2, v, d1, d2 = coder._update_coeffs(dec, params)
-        enc.err_norm[0] = (enc.err_norm[0] - a1 * yp / v) / d1
-        enc.err_norm[1] = (enc.err_norm[1] - a2 * yp / v) / d2
-        dec = coder.receiver_update(dec, params, use.y1, t)
-        rows.append((x1, x2, use.y1, use.y2,
-                     x1 - nic1 * w[t - 1], x2 - nic2 * w[t - 1]))
-    if max(params.messages(1), params.messages(2)) <= 2**40:
-        m_hat = coder.decode(dec, params, uses)
-    else:
-        m_hat = coder._decode_exact(enc, dec, params, (m1, m2))
-    x1a, x2a, y1a, y2a, u1a, u2a = (np.array(col) for col in zip(*rows))
-    fields = (x1a, x2a, y1a, y2a, u1a, u2a, uses, (m1, m2), m_hat,
-              m_hat != (m1, m2), float(np.mean(y2a**2)),
-              th1 * th1 + float(np.sum(x1a**2)),
-              th2 * th2 + float(np.sum(x2a**2)))
-    return fields, dec
-
-
-def trace_fields(tr):
-    return (tr.x1, tr.x2, tr.y1, tr.y2, tr.u1, tr.u2, tr.init_uses,
-            tr.m_true, tr.m_hat, tr.error, tr.b_hat, tr.energy1, tr.energy2)
+        m = (1 + trial % params.messages(1),
+             1 + (3 * trial) % params.messages(2))
+        _, state = replay_block(
+            params, *m, FixedDraws(z, np.zeros(params.n + 3), w))
+        assert coder._decode_exact(params, state["err"], state["log2_sigma"],
+                                   m) == \
+            decode(params, state["mean"], state["y_init"])
 
 
 def as_bits(field):
     """A trace field in a form whose == compares floats bit for bit."""
-    if isinstance(field, list):  # the three init ChannelUses
-        return [np.array([u.x1, u.x2, u.y1, u.y2, u.z, u.q]).tobytes()
-                for u in field]
+    if isinstance(field, list):  # the three init uses
+        return [np.array(use if isinstance(use, tuple)
+                         else dataclasses.astuple(use)).tobytes()
+                for use in field]
     if isinstance(field, (tuple, bool)):
         return field
     return np.asarray(field, dtype=float).tobytes()
+
+
+def assert_same_bits(trace, fields, k):
+    """Every TransmissionTrace field of trace equals the replay's, bitwise."""
+    names = [f.name for f in dataclasses.fields(coder.TransmissionTrace)]
+    assert sorted(fields) == sorted(names)
+    for name in names:
+        assert as_bits(getattr(trace, name)) == as_bits(fields[name]), \
+            (k, name)
 
 
 EQUIVALENCE_CASES = {
@@ -406,22 +357,19 @@ def test_batched_engine_matches_step_replay(name):
         rng, (m1, m2) = mc._trial_inputs(params, k)
         replays.append(replay_block(params, m1, m2, rng))
     sched = coder.coeff_schedule(params)
-    _, dec = replays[0]
-    assert sched.log2_sigma == tuple(dec.log2_sigma)
-    assert sched.corr == dec.corr
+    for _, state in replays:
+        assert sched.log2_sigma == state["log2_sigma"]
+        assert sched.corr == state["corr"]
     # batch of one, through simulate_block
     for k in (0, trials - 1):
         rng, (m1, m2) = mc._trial_inputs(params, k)
-        got = trace_fields(coder.simulate_block(params, m1, m2, rng))
-        for i, (g, want) in enumerate(zip(got, replays[k][0])):
-            assert as_bits(g) == as_bits(want), (k, i)
+        assert_same_bits(coder.simulate_block(params, m1, m2, rng),
+                         replays[k][0], k)
     # the whole set as one batch of eight
     rngs, messages = zip(*(mc._trial_inputs(params, k) for k in range(trials)))
     batch = coder.simulate_batch(params, sched, messages, rngs)
     for k in range(trials):
-        got = trace_fields(batch.trace(k))
-        for i, (g, want) in enumerate(zip(got, replays[k][0])):
-            assert as_bits(g) == as_bits(want), (k, i)
+        assert_same_bits(batch.trace(k), replays[k][0], k)
     if name == "decode":
         assert any(batch.m_hat[k] != batch.m_true[k] for k in range(trials))
 

@@ -40,15 +40,6 @@ def test_pure_energy_run():
     assert rep.consumed_power[0] < SYM10.p1 * 1.1
 
 
-def test_empirical_energy_rate_hand_value():
-    trace = coder.TransmissionTrace(
-        x1=np.zeros(3), x2=np.zeros(3), y1=np.zeros(3),
-        y2=np.array([1.0, -1.0, 2.0]), u1=np.zeros(3), u2=np.zeros(3),
-        init_uses=[], m_true=(1, 1), m_hat=(1, 1), error=False,
-        b_hat=2.0, energy1=0.0, energy2=0.0)
-    assert mc.empirical_energy_rate(trace) == pytest.approx(2.0)
-
-
 def test_outage_extremes():
     base = mc.run(make_sc(n=100, trials=60))
     lo = base.mean_b - 10 * base.stderr_b * math.sqrt(60)
@@ -102,6 +93,14 @@ def test_invalid_configs_rejected():
         make_sc(correlation_times=(0,))
     with pytest.raises(ValueError):
         make_sc(n=10, correlation_times=(11,))
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            make_sc(target_b=bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            make_sc(epsilon=bad)
+        with pytest.raises(ValueError):
+            make_sc(r=bad)
 
 
 def test_outage_table_csv():
