@@ -75,8 +75,9 @@ class SchemeParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("blocklength n must be >= 1")
-        if not (0.0 <= self.r1 < math.inf and 0.0 <= self.r2 < math.inf):
-            raise ValueError("rates must be finite and nonnegative")
+        # 0.5*log2(1 + SNR) < 512 for every finite float64 SNR
+        if not (0.0 <= self.r1 <= 512.0 and 0.0 <= self.r2 <= 512.0):
+            raise ValueError("rates must lie in [0, 512] bits/use")
         if not (0.0 <= self.beta1 <= 1.0 and 0.0 <= self.beta2 <= 1.0):
             raise ValueError("power splits must lie in [0,1]")
         if self.seed < 0:

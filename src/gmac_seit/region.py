@@ -59,8 +59,8 @@ class RateTriplet:
     b: float
 
     def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0 or self.b < 0:
-            raise ValueError("rates must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in (self.r1, self.r2, self.b)):
+            raise ValueError("rates must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -232,11 +232,11 @@ def _boxes(cfg: ChannelConfig, b1, b2, rho):
     """Region-box bounds (r1_max, r2_max, rsum_max, b_max) at arrays of
     operating points: the one place the box closed form is written."""
     s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
+    a, c = b1 * s11, b2 * s12  # same association as written out in full
     om = 1.0 - rho * rho
-    r1 = 0.5 * np.log2(1.0 + b1 * s11 * om)
-    r2 = 0.5 * np.log2(1.0 + b2 * s12 * om)
-    rsum = 0.5 * np.log2(1.0 + b1 * s11 + b2 * s12
-                         + 2.0 * rho * np.sqrt(b1 * s11 * b2 * s12))
+    r1 = 0.5 * np.log2(1.0 + a * om)
+    r2 = 0.5 * np.log2(1.0 + c * om)
+    rsum = 0.5 * np.log2(1.0 + a + c + 2.0 * rho * np.sqrt(a * b2 * s12))
     bmax = (1.0 + s21 + s22 + 2.0 * (rho * np.sqrt(b1 * s21 * b2 * s22))
             + 2.0 * np.sqrt((1.0 - b1) * s21 * (1.0 - b2) * s22))
     return r1, r2, rsum, bmax
@@ -272,14 +272,15 @@ def _grid_boxes(cfg: ChannelConfig, feedback: bool, grid_n: int):
     return _grid_box_arrays(cfg, feedback, grid_n)
 
 
-def _refine_coord(score, pts: np.ndarray, c: int, h: float,
-                  iters: int = 40) -> None:
+def _refine_coord(score, pts: np.ndarray, c: int, h: float, fx: np.ndarray,
+                  iters: int = 40) -> np.ndarray:
     """Golden-section maximization of score along coordinate c, in place.
 
     Each column of pts (rows beta1, beta2, rho) is a start with its own
     bracket [x - h, x + h] clipped to [0, 1]; np.where picks each column's
-    branch.  A column keeps its start when the bracket's midpoint scores
-    worse.
+    branch.  fx is score(pts) on entry and the return value score(pts) on
+    exit, bit for bit.  A column keeps its start when the bracket's midpoint
+    scores worse, so no column's score ever falls.
     """
     def f(v):
         q = list(pts)
@@ -299,7 +300,9 @@ def _refine_coord(score, pts: np.ndarray, c: int, h: float,
         lo, hi = np.where(left, new, hi), np.where(left, lo, new)
         flo, fhi = np.where(left, fnew, fhi), np.where(left, flo, fnew)
     best = 0.5 * (a + b)
-    pts[c] = np.where(f(best) >= f(x), best, x)
+    fb = f(best)
+    pts[c] = np.where(fb >= fx, best, x)
+    return np.where(fb >= fx, fb, fx)
 
 
 def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
@@ -310,6 +313,9 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
     dominates t; False only means none was found at this resolution.
     Comparisons carry a 1e-9 relative slack so that triplets sitting exactly
     on a box face (a closure point) are not rejected by roundoff.
+
+    Refinement stops at the first pass that certifies t: no pass lowers a
+    start's score, which depends on that start alone, so the verdict holds.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -321,8 +327,8 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
         return True
 
     def slack(r1, r2, rs, b):
-        return np.minimum.reduce(
-            [r1 - t.r1, r2 - t.r2, rs - (t.r1 + t.r2), b - t.b])
+        return np.minimum(np.minimum(r1 - t.r1, r2 - t.r2),
+                          np.minimum(rs - (t.r1 + t.r2), b - t.b))
 
     # multi-start: the global slack argmax can sit in the wrong basin, so
     # refine from the best grid point of every rho-slice at once
@@ -331,10 +337,12 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
     k = np.argmax(per_rho, axis=0) * n_rho + np.arange(n_rho)
     pts = np.stack([b1g[k], b2g[k], rhog[k]])
     h = 1.0 / (grid_n - 1)
-    for _ in range(2):
-        for c in ((0, 1, 2) if feedback else (0, 1)):
-            _refine_coord(lambda q: slack(*_boxes(cfg, *q)), pts, c, h)
-    return bool((slack(*_boxes(cfg, *pts)) >= -eps).any())
+    fx = slack(*_boxes(cfg, *pts))
+    for c in (0, 1, 2) * 2 if feedback else (0, 1) * 2:  # two sweeps
+        fx = _refine_coord(lambda q: slack(*_boxes(cfg, *q)), pts, c, h, fx)
+        if bool((fx >= -eps).any()):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gmac_seit import cli
+from gmac_seit import cli, region
 
 
 def run_cli(argv, capsys=None):
@@ -158,12 +158,24 @@ def test_exit_codes(tmp_path, capsys):
                   ["--rate", "0.1,0.1", "--epsilon", "nan"],
                   ["--rate", "0.1,0.1", "--epsilon", "inf"]):
         assert run_cli(sim + extra) == 2, extra
+    # a rate above every float64 capacity would overflow the message count
+    assert run_cli(sim + ["--rate", "1e300,0"]) == 2
     for bmax in ("nan", "inf"):
         assert run_cli(["sumcap", "--snr", "10,10,10,10", "--points", "3",
                         "--bmax", bmax,
                         "--out", str(tmp_path / "sumcap.csv")]) == 2, bmax
     assert not (tmp_path / "sim.json").exists()
     assert not (tmp_path / "sumcap.csv").exists()
+    # a non-finite --verify-contains row is a usage error, not a verdict
+    for bad in ("inf", "nan"):
+        rows = tmp_path / f"{bad}.csv"
+        rows.write_text(f"{region.CSV_HEADER}\n0,0,0,{bad},0,1\n")
+        capsys.readouterr()
+        assert run_cli(["region", "--snr", "10,10,10,10", "--res", "4",
+                        "--out", str(tmp_path / "region.csv"),
+                        "--verify-contains", str(rows)]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments: ") and err.count("\n") == 1
 
 
 def test_simulate_both_users_zero_snr(tmp_path):

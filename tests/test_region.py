@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import astuple
 
@@ -185,6 +186,63 @@ def test_contains_q5_with_and_without_feedback():
 
 def test_contains_rejects_absurd_point():
     assert not region.contains(SYM10, region.RateTriplet(10.0, 10.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])
+def test_rate_triplet_rejects_non_finite_and_negative(bad):
+    for k in range(3):
+        comps = [0.5, 0.5, 1.0]
+        comps[k] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            region.RateTriplet(*comps)
+    assert region.RateTriplet(0.0, -0.0, 0.0).b == 0.0
+
+
+@pytest.mark.parametrize("feedback", [True, False])
+def test_refine_coord_returns_column_scores(feedback):
+    # contains stops at the first pass that certifies a start; that verdict
+    # is the one of all passes only if each pass returns every column's own
+    # score, bit for bit, and never lowers it
+    t = region.RateTriplet(1.6, 1.5, 30.0)
+
+    def score(q):
+        r1, r2, rs, b = region._boxes(SYM10, *q)
+        return np.minimum(np.minimum(r1 - t.r1, r2 - t.r2),
+                          np.minimum(rs - (t.r1 + t.r2), b - t.b))
+
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, (3, 16))
+    if not feedback:
+        pts[2] = 0.0
+    fx = score(pts)
+    raised = False
+    for c in (0, 1, 2) * 2 if feedback else (0, 1) * 2:
+        entry = fx
+        fx = region._refine_coord(score, pts, c, 0.1, entry)
+        assert fx.tobytes() == score(pts).tobytes()
+        assert (fx >= entry).all()
+        raised |= bool((fx > entry).any())
+    assert raised
+
+
+def test_contains_verdicts_golden_digest():
+    # verdicts of the full two-sweep refinement, recorded before it could
+    # stop early: every 32nd res-12 feedback boundary triplet, scaled by
+    # 1, 1.001 and 0.999, at two SNR quadruples, both modes, grids 8 and 16
+    bits = []
+    for snr in ((10, 10, 10, 10), (10, 3, 2, 5)):
+        cfg = channel.from_snr(*snr)
+        base = region.sample_boundary(cfg, feedback=True,
+                                      resolution=12)[::32]
+        for fb in (True, False):
+            for grid in (8, 16):
+                for s in (1.0, 1.001, 0.999):
+                    bits += ["1" if region.contains(
+                        cfg, region.RateTriplet(t.r1 * s, t.r2 * s, t.b * s),
+                        feedback=fb, grid_n=grid) else "0" for t in base]
+    verdicts = "".join(bits)
+    assert (len(verdicts), verdicts.count("1")) == (264, 113)
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == (
+        "adb7bd7754389cf2a9dba0138d21609c1a34eb4adb4c93054a7cebe6d4ff554b")
 
 
 # --- capacities in b ----------------------------------------------------------
