@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 some --verify-contains triplet not found in the
 region, 2 usage error (including a request too large to allocate),
-3 infeasible energy rate, 4 I/O error.
+3 infeasible energy rate, 4 I/O error.  Every input, a --verify-contains
+file included, is read and checked before the output file is opened, so
+a rejected input leaves no data file behind.
 The default simulation seed can be set via the GMAC_SEIT_SEED environment
 variable; an explicit --seed flag wins.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 
@@ -23,6 +26,9 @@ EXIT_NOT_CONTAINED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE_B = 3
 EXIT_IO = 4
+
+# points per axis of the time-sharing grid search (sumcap --timeshare)
+_TIMESHARE_GRID = 51
 
 
 def _parse_tuple(text: str, k: int, name: str) -> tuple[float, ...]:
@@ -61,12 +67,13 @@ def _write(path, emit) -> None:
 
 
 def _write_table(path, fmt: str, names: tuple[str, ...], rows) -> None:
-    """Write rows of floats as CSV (17 significant digits) or a JSON list."""
+    """Write tuples of floats as CSV (17 significant digits) or a JSON list."""
     def emit(fh):
         if fmt == "csv":
             fh.write(",".join(names) + "\n")
+            line = ",".join(["%.17g"] * len(names)) + "\n"
             for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(line % row)
         else:
             json.dump([dict(zip(names, row)) for row in rows], fh, indent=1)
             fh.write("\n")
@@ -76,23 +83,23 @@ def _write_table(path, fmt: str, names: tuple[str, ...], rows) -> None:
 
 def cmd_region(args) -> int:
     cfg = channel.from_snr(*args.snr)
+    if args.verify_contains is not None:
+        # read and check the other file before any output is written
+        with open(args.verify_contains, "r", encoding="ascii") as fh:
+            triplets = [rec.triplet for rec in region.records_from_csv(fh)]
     records = region.sample_boundary_records(cfg, feedback=args.feedback,
                                              resolution=args.res)
-    if args.format == "csv":
-        _write(args.out, lambda fh: region.records_to_csv(records, fh))
-    else:
-        _write(args.out, lambda fh: region.records_to_json(records, fh))
+    names = tuple(region.CSV_HEADER.split(","))
+    _write_table(args.out, args.format, names,
+                 map(operator.attrgetter(*names), records))
     if args.verify_contains is not None:
-        with open(args.verify_contains, "r", encoding="ascii") as fh:
-            other = region.records_from_csv(fh)
-        bad = [rec for rec in other
-               if not region.contains(cfg, rec.triplet, feedback=args.feedback,
-                                      grid_n=args.res)]
+        bad = sum(not region.contains(cfg, t, feedback=args.feedback,
+                                      grid_n=args.res) for t in triplets)
         if bad:
-            print(f"verify-contains: {len(bad)} of {len(other)} triplets "
+            print(f"verify-contains: {bad} of {len(triplets)} triplets "
                   "not found in this region", file=sys.stderr)
             return EXIT_NOT_CONTAINED
-        print(f"verify-contains: all {len(other)} triplets contained",
+        print(f"verify-contains: all {len(triplets)} triplets contained",
               file=sys.stderr)
     return EXIT_OK
 
@@ -103,9 +110,15 @@ def cmd_sumcap(args) -> int:
         raise ValueError("--bmax must be finite and nonnegative")
     bmax = args.bmax if args.bmax is not None else channel.max_energy_rate(cfg)
     grid = np.linspace(0.0, bmax, args.points)
+    names = ("b", "rsum_fb", "rsum_nf")
     rows = [(b, region.sum_capacity_fb(cfg, b), region.sum_capacity_nf(cfg, b))
             for b in grid]
-    _write_table(args.out, args.format, ("b", "rsum_fb", "rsum_nf"), rows)
+    if args.timeshare:
+        names += ("rsum_timeshare",)
+        rows = [row + (region.time_sharing_sum_rate(cfg, row[0],
+                                                    _TIMESHARE_GRID),)
+                for row in rows]
+    _write_table(args.out, args.format, names, rows)
     return EXIT_OK
 
 
@@ -144,10 +157,9 @@ def cmd_simulate(args) -> int:
         r2 = args.rate_frac * 0.5 * math.log2(1.0 + beta2 * cfg.snr12 * om)
     params = coder.SchemeParams(cfg=cfg, n=args.n, r1=r1, r2=r2,
                                 beta1=beta1, beta2=beta2, seed=args.seed)
-    bmax = channel.max_energy_rate(cfg)
-    if args.target_b > bmax + 1e-9 * max(1.0, bmax):
-        raise region.InfeasibleEnergyRateError(
-            f"target_b {args.target_b} exceeds {bmax}")
+    # checked before SimConfig so that an infeasible target exits 3 even
+    # where SimConfig would first reject another field with exit 2
+    region._check_feasible_b(cfg, args.target_b)
     sc = mc.SimConfig(params=params, trials=args.trials,
                       target_b=args.target_b, epsilon=args.epsilon)
     report = mc.run(sc)
@@ -188,6 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="S11,S12,S21,S22")
     p.add_argument("--bmax", type=float, default=None)
     p.add_argument("--points", type=int, default=101)
+    p.add_argument("--timeshare", action="store_true",
+                   help="add the time-sharing lower bound as column "
+                        "rsum_timeshare")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sumcap)

@@ -432,11 +432,3 @@ def simulate_block(params: SchemeParams, m1: int, m2: int,
     """
     batch = simulate_batch(params, coeff_schedule(params), [(m1, m2)], [rng])
     return batch.trace(0)
-
-
-def trace_to_csv(trace: TransmissionTrace, fh) -> None:
-    fh.write("t,x1,x2,y1,y2,u1,u2\n")
-    for t in range(len(trace.x1)):
-        row = (t + 1, trace.x1[t], trace.x2[t], trace.y1[t], trace.y2[t],
-               trace.u1[t], trace.u2[t])
-        fh.write(f"{row[0]}," + ",".join(f"{v:.17g}" for v in row[1:]) + "\n")

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import max_energy_rate
 from .coder import (SchemeParams, TransmissionTrace, coeff_schedule,
                     expected_energy_rate, simulate_batch, simulate_block)
+from .region import _check_feasible_b
 
 _CHUNK_FLOATS = 2 ** 15
 
@@ -54,9 +54,7 @@ class SimConfig:
             raise ValueError("target_b must be finite")
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        bmax = max_energy_rate(self.params.cfg)
-        if self.target_b > bmax + 1e-9 * max(1.0, bmax):
-            raise ValueError("target_b exceeds the maximum energy rate")
+        _check_feasible_b(self.params.cfg, self.target_b)
         for t in self.correlation_times:
             if not 1 <= t <= self.params.n:
                 raise ValueError("correlation times must lie in 1..n")
@@ -172,22 +170,3 @@ def run(sc: SimConfig) -> SimReport:
                      stderr_b=math.sqrt(var_b / k),
                      consumed_power=(sum_e1 / (k * uses), sum_e2 / (k * uses)),
                      correlation_trace=corr_trace)
-
-
-def outage_estimate(base: SimConfig, n_values) -> list[tuple[int, float]]:
-    """Outage fraction versus blocklength, everything else held fixed."""
-    rows = []
-    for n in n_values:
-        p = base.params
-        params = SchemeParams(cfg=p.cfg, n=int(n), r1=p.r1, r2=p.r2,
-                              beta1=p.beta1, beta2=p.beta2, seed=p.seed)
-        sc = SimConfig(params=params, trials=base.trials,
-                       target_b=base.target_b, epsilon=base.epsilon)
-        rows.append((int(n), run(sc).outage_hat))
-    return rows
-
-
-def outage_table_to_csv(rows, fh) -> None:
-    fh.write("n,outage_hat\n")
-    for n, out in rows:
-        fh.write(f"{n},{out:.17g}\n")

@@ -9,7 +9,6 @@ baseline, and the feedback energy-gain analytics.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -539,22 +538,6 @@ def sample_boundary(cfg: ChannelConfig, feedback: bool = True,
 
 
 CSV_HEADER = "beta1,beta2,rho,r1,r2,b"
-_FIELDS = CSV_HEADER.split(",")
-_CSV_ROW = ",".join(["%.17g"] * len(_FIELDS)) + "\n"
-
-
-def records_to_csv(records, fh) -> None:
-    """Write boundary samples as CSV with the mandatory header, 17 sig digits."""
-    fh.write(CSV_HEADER + "\n")
-    for rec in records:
-        fh.write(_CSV_ROW % (rec.beta1, rec.beta2, rec.rho, rec.r1, rec.r2,
-                             rec.b))
-
-
-def records_to_json(records, fh) -> None:
-    payload = [{f: getattr(rec, f) for f in _FIELDS} for rec in records]
-    json.dump(payload, fh, indent=1)
-    fh.write("\n")
 
 
 def records_from_csv(fh) -> list[BoundarySample]:

@@ -1,12 +1,16 @@
 import hashlib
+import io
 import json
+import re
 import resource
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmac_seit import cli, region
+from gmac_seit import channel, cli, coder, mc, region
 
 
 def run_cli(argv, capsys=None):
@@ -56,6 +60,55 @@ def test_region_csv_golden_digest(tmp_path, name):
     out = tmp_path / "region.csv"
     assert run_cli(["region", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the other data files, recorded with the per-format writers
+# that preceded cli._write_table; the rsum_timeshare digest comes from the
+# sumcap_curves.py script that --timeshare replaced, run with
+# --snr 10 3 2 5 --points 21
+TABLE_GOLDEN = {
+    "region_json_sym10_fb_res16": (
+        ["region", "--snr", "10,10,10,10", "--res", "16", "--format", "json"],
+        "3f39f31e5ce3d68976770a981f2d241255716930e2a997ed42eabe56b2a8280d"),
+    "region_json_asym_nf_res24": (
+        ["region", "--snr", "10,3,2,5", "--no-feedback", "--res", "24",
+         "--format", "json"],
+        "1c7e2115733dbb0680388baa8dfbec137994e5468535f4ef9bd37bf2e0f78108"),
+    "sumcap_csv": (
+        ["sumcap", "--snr", "10,3,2,5", "--points", "21"],
+        "9fca733fc2d26f95719b11933a6ee8e512c97f6c98adffe27176ab02bedae742"),
+    "sumcap_json": (
+        ["sumcap", "--snr", "10,3,2,5", "--points", "21", "--format", "json"],
+        "f66820bb1796f8d79321c598d45006120ffc44731bda19edcd8f666a02ab7fe4"),
+    "sumcap_timeshare_csv": (
+        ["sumcap", "--snr", "10,3,2,5", "--points", "21", "--timeshare"],
+        "ebfd175f1374c692b36ab48f3f4d8c8a46f30fb8ac0200ac3d158da7ec3f8d4d"),
+    "ratio_csv": (
+        ["ratio", "--points", "13", "--asym", "4"],
+        "72e745d2ebfaaba33aebb657bfbd612532f246e99667600dae176c14c38549ba"),
+    "ratio_json": (
+        ["ratio", "--points", "13", "--asym", "4", "--format", "json"],
+        "fbb127e6313eb551ff1403f744ddfd497b4e4ec3b41ad149aafb2b27abcfec3e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GOLDEN))
+def test_table_golden_digest(tmp_path, name):
+    argv, digest = TABLE_GOLDEN[name]
+    out = tmp_path / "table"
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_region_csv_round_trip(tmp_path):
+    out = tmp_path / "boundary.csv"
+    assert run_cli(["region", "--snr", "10,3,5,7", "--res", "4",
+                    "--out", str(out)]) == 0
+    with open(out) as fh:
+        back = region.records_from_csv(fh)
+    cfg = channel.from_snr(10, 3, 5, 7)
+    assert back == region.sample_boundary_records(cfg, feedback=True,
+                                                  resolution=4)
 
 
 def test_region_verify_contains(tmp_path, capsys):
@@ -121,6 +174,25 @@ def test_simulate_reproducible(tmp_path):
     assert rep["p_error_hat"] == 0.0
 
 
+def test_simulate_zero_target_per_blocklength(tmp_path):
+    # the README's outage-vs-blocklength loop: one run per n, each the
+    # mc.run of the same scheme at that n
+    cfg = channel.from_snr(10, 10, 10, 10)
+    for n in (10, 20, 40):
+        out = tmp_path / f"n{n}.json"
+        assert run_cli(["simulate", "--snr", "10,10,10,10", "--beta", "1,1",
+                        "--rate", "0.3,0.3", "--n", str(n), "--trials", "5",
+                        "--seed", "0", "--target-b", "0",
+                        "--out", str(out)]) == 0
+        params = coder.SchemeParams(cfg=cfg, n=n, r1=0.3, r2=0.3, beta1=1.0,
+                                    beta2=1.0, seed=0)
+        want = io.StringIO()
+        mc.run(mc.SimConfig(params=params, trials=5, target_b=0.0)).to_json(
+            want)
+        assert out.read_text() == want.getvalue()
+        assert json.loads(want.getvalue())["outage_hat"] == 0.0
+
+
 def test_simulate_seed_env_default(tmp_path, monkeypatch):
     argv = ["simulate", "--snr", "10,10,10,10", "--beta", "1,1",
             "--rate", "0.1,0.1", "--n", "20", "--trials", "5"]
@@ -176,6 +248,12 @@ def test_exit_codes(tmp_path, capsys):
                         "--verify-contains", str(rows)]) == 2, bad
         err = capsys.readouterr().err
         assert err.startswith("invalid arguments: ") and err.count("\n") == 1
+        # the verify file is read before the region output is written
+        assert not (tmp_path / "region.csv").exists()
+    assert run_cli(["region", "--snr", "10,10,10,10", "--res", "4",
+                    "--out", str(tmp_path / "region.csv"),
+                    "--verify-contains", str(tmp_path / "missing.csv")]) == 4
+    assert not (tmp_path / "region.csv").exists()
 
 
 def test_simulate_both_users_zero_snr(tmp_path):
@@ -222,3 +300,30 @@ def test_region_grid_too_large_rejected(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
+def readme_commands():
+    """Every gmac-seit command in README.md's code blocks, as argv lists.
+
+    Continuation lines are joined, each command ends at a shell separator,
+    and shell variables ($a, $n) stand for the sample value 2.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            for part in re.split(r";|&&|\|", line.split("#")[0]):
+                words = shlex.split(re.sub(r"\$\{?\w+\}?", "2", part))
+                if "gmac-seit" in words:
+                    commands.append(words[words.index("gmac-seit") + 1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in commands} == {"region", "sumcap", "ratio",
+                                              "simulate"}
+    assert any("--timeshare" in argv for argv in commands)

@@ -434,14 +434,3 @@ def test_block_u_variance_and_correlation():
     corr = np.mean((u1 - u1.mean()) * (u2 - u2.mean())) / (u1.std() * u2.std())
     se = (1 - rs * rs) / math.sqrt(len(u1))
     assert abs(corr - rs) < 4 * se
-
-
-def test_trace_csv(tmp_path):
-    params = make_params(n=5)
-    trace = mc.run_trial(params, 0)
-    path = tmp_path / "trace.csv"
-    with open(path, "w") as fh:
-        coder.trace_to_csv(trace, fh)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,x1,x2,y1,y2,u1,u2"
-    assert len(lines) == 6

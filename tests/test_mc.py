@@ -52,12 +52,6 @@ def test_outage_extremes():
                           epsilon=1e-9)).outage_hat >= 0.9
 
 
-def test_outage_estimate_zero_target():
-    rows = mc.outage_estimate(make_sc(n=10, trials=5), [10, 20, 40])
-    assert [n for n, _ in rows] == [10, 20, 40]
-    assert all(out == 0.0 for _, out in rows)
-
-
 def test_default_epsilon_scales_with_mean_rate():
     sc = make_sc()
     rs = sc.params.rho_star()
@@ -101,14 +95,6 @@ def test_invalid_configs_rejected():
             make_sc(epsilon=bad)
         with pytest.raises(ValueError):
             make_sc(r=bad)
-
-
-def test_outage_table_csv():
-    buf = io.StringIO()
-    mc.outage_table_to_csv([(10, 0.5), (20, 0.25)], buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "n,outage_hat"
-    assert lines[1] == "10,0.5"
 
 
 @pytest.mark.parametrize("corr", [0.0, -0.7, 0.7])

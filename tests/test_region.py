@@ -433,13 +433,3 @@ def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
 def test_no_feedback_boundary_inside_feedback_region():
     for t in region.sample_boundary(SYM10, feedback=False, resolution=12):
         assert region.contains(SYM10, t, feedback=True, grid_n=12)
-
-
-def test_csv_round_trip(tmp_path):
-    recs = region.sample_boundary_records(ASYM, feedback=True, resolution=4)
-    path = tmp_path / "boundary.csv"
-    with open(path, "w") as fh:
-        region.records_to_csv(recs, fh)
-    with open(path) as fh:
-        back = region.records_from_csv(fh)
-    assert back == recs
