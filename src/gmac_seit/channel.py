@@ -110,4 +110,9 @@ def from_snr(snr11: float, snr12: float, snr21: float, snr22: float,
 def max_energy_rate(cfg: ChannelConfig) -> float:
     """Largest feasible average energy rate: fully correlated max-power inputs."""
     s21, s22 = cfg.snr21, cfg.snr22
-    return 1.0 + s21 + s22 + 2.0 * math.sqrt(s21 * s22)
+    prod = s21 * s22
+    if math.isfinite(prod):
+        cross = math.sqrt(prod)
+    else:  # the product overflows where the geometric mean does not
+        cross = math.sqrt(s21) * math.sqrt(s22)
+    return 1.0 + s21 + s22 + 2.0 * cross

@@ -11,6 +11,7 @@ variable; an explicit --seed flag wins.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import operator
@@ -67,7 +68,18 @@ def _write(path, emit) -> None:
 
 
 def _write_table(path, fmt: str, names: tuple[str, ...], rows) -> None:
-    """Write tuples of floats as CSV (17 significant digits) or a JSON list."""
+    """Write tuples of floats as CSV (17 significant digits) or a JSON list.
+
+    A table holding an inf or nan is refused before the file is opened.
+    """
+    rows = list(rows)
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        row = next(r for r in rows if not all(map(math.isfinite, r)))
+        name, val = next((k, v) for k, v in zip(names, row)
+                         if not math.isfinite(v))
+        raise ValueError(f"{name} is {val} at {names[0]}={row[0]:.17g}; "
+                         "no data file written")
+
     def emit(fh):
         if fmt == "csv":
             fh.write(",".join(names) + "\n")
@@ -246,7 +258,10 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        # overflow in the closed forms is reported once, by _write_table's
+        # refusal of non-finite values, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except region.InfeasibleEnergyRateError as exc:
         print(f"infeasible energy rate: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE_B

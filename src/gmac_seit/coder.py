@@ -102,20 +102,28 @@ class SchemeParams:
         return self.beta1 if i == 1 else self.beta2
 
 
-def message_point(m: int, rate: float, n: int, p: float) -> float:
-    """PAM embedding of message index m on a grid of floor(2^(n*rate)) points."""
+def message_points(ms: Sequence[int], rate: float, n: int,
+                   p: float) -> np.ndarray:
+    """PAM embedding of message indices ms on a grid of floor(2^(n*rate)) points."""
     big = message_count(n, rate)
-    if not 1 <= m <= big:
-        raise ValueError(f"message index {m} outside 1..{big}")
-    sp = math.sqrt(p)
+    lo, hi = min(ms), max(ms)
+    if lo < 1 or hi > big:
+        raise ValueError(f"message index {lo if lo < 1 else hi} "
+                         f"outside 1..{big}")
     # theta = sqrt(p) - (m-1)*delta with delta = 2 sqrt(p)/big; the ratio
     # form stays accurate when big is too large for delta to be a normal float
-    num = 2 * (m - 1)
     if big < 2**52:
-        frac = num / big
+        # 2(m-1) and big are exact floats, so the quotient is rounded once
+        frac = 2.0 * (np.array(ms, dtype=float) - 1.0) / big
     else:
-        frac = ((num << 64) // big) / 18446744073709551616.0
-    return sp * (1.0 - frac)
+        frac = np.array([((2 * (m - 1) << 64) // big) / 18446744073709551616.0
+                         for m in ms])
+    return math.sqrt(p) * (1.0 - frac)
+
+
+def message_point(m: int, rate: float, n: int, p: float) -> float:
+    """PAM point of one message index m; see message_points."""
+    return float(message_points([m], rate, n, p)[0])
 
 
 @dataclass
@@ -277,24 +285,42 @@ def coeff_schedule(params: SchemeParams) -> CoeffSchedule:
 
     Row t-1 holds the coefficients of step t at the correlation left by
     step t-1, starting from rho*; log2_sigma and corr are the state after
-    step n.
+    step n.  Each step's coefficients are a function of the correlation
+    alone, and the float recursion reaches a correlation it has seen
+    before within a few dozen steps, so the steps up to that repeat are
+    iterated and the rest of the table is their cycle.  log2_sigma_i is
+    then a sequential running sum, as the step-by-step loop adds it.
     """
     cfg = params.cfg
+    n = params.n
     s1 = math.sqrt(params.beta1 * cfg.snr11)
     s2 = math.sqrt(params.beta2 * cfg.snr12)
     r = params.rho_star()
-    l1 = l2 = 0.0
-    rows = np.empty((params.n, 8))
-    for row in rows:
+    seen = {}  # bits of a correlation -> step at which it held
+    steps = []  # (sign2, a1, a2, v, d1, d2, dl1, dl2, next corr) per step
+    while len(steps) < n and r.hex() not in seen:
+        seen[r.hex()] = len(steps)
         a1, a2, v, d1, d2 = _coeffs(r, s1, s2)
-        row[:] = (-1.0 if r < 0.0 else 1.0, a1, a2, v, d1, d2,
-                  2.0 ** l1 * a1 / v, 2.0 ** l2 * a2 / v)
-        l1 += 0.5 * math.log2(d1 * d1)
-        l2 += 0.5 * math.log2(d2 * d2)
-        r = (r - a1 * a2 / v) / (d1 * d2)
+        r_next = (r - a1 * a2 / v) / (d1 * d2)
+        steps.append((-1.0 if r < 0.0 else 1.0, a1, a2, v, d1, d2,
+                      0.5 * math.log2(d1 * d1), 0.5 * math.log2(d2 * d2),
+                      r_next))
+        r = r_next
+    # step t >= len(steps) repeats step start + (t - start) % period
+    start = seen.get(r.hex(), 0)
+    period = len(steps) - start
+    idx = np.arange(n)
+    tail = idx >= len(steps)
+    idx[tail] = start + (idx[tail] - start) % period
+    rows = np.array(steps)[idx]
+    log2_sigma = np.add.accumulate(
+        np.concatenate((np.zeros((1, 2)), rows[:, 6:8])), axis=0)
+    sigma = np.array([2.0 ** l for l in log2_sigma[:n].ravel().tolist()])
+    gain = sigma.reshape(n, 2) * rows[:, 1:3] / rows[:, 3:4]
+    l1, l2 = log2_sigma[n].tolist()
     return CoeffSchedule(sign2=rows[:, 0], a=rows[:, 1:3, None], v=rows[:, 3],
-                         d=rows[:, 4:6, None], gain=rows[:, 6:8, None],
-                         log2_sigma=(l1, l2), corr=r)
+                         d=rows[:, 4:6, None], gain=gain[:, :, None],
+                         log2_sigma=(l1, l2), corr=float(rows[-1, 8]))
 
 
 @dataclass
@@ -343,28 +369,29 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
                    rngs: Sequence[np.random.Generator]) -> BlockBatch:
     """Run one full block per (m1, m2) pair in messages, all in lockstep.
 
-    sched is coeff_schedule(params).  Trial k draws from rngs[k] only, in
-    simulate_block's order, so a trial's outputs do not depend on the rest
-    of the batch.  Memory peaks at about a dozen floats per trial and
-    channel use.
+    sched is coeff_schedule(params).  Trial k draws from rngs[k] only: one
+    standard_normal call fills its 3n + 6 draws, read as z (n + 3 receiver
+    noises), then the n + 3 independent harvester noise components, then w
+    (n carrier symbols).  The Generator's normal sampler keeps no state
+    between calls, so this is the same stream as three calls in that order,
+    and a trial's outputs do not depend on the rest of the batch.  Memory
+    peaks at about a dozen floats per trial and channel use.
     """
     cfg = params.cfg
     n = params.n
     k = len(rngs)
-    z = np.empty((k, n + 3))
-    q = np.empty((k, n + 3))
-    w = np.empty((k, n))
-    for row, rng in enumerate(rngs):
-        rng.standard_normal(out=z[row])
-        rng.standard_normal(out=q[row])
-        rng.standard_normal(out=w[row])
+    draws = np.empty((k, 3 * n + 6))
+    for row, rng in zip(draws, rngs):
+        rng.standard_normal(out=row)
+    z = draws[:, :n + 3]
+    w = draws[:, 2 * n + 6:]
     c = cfg.noise_correlation
-    q = c * z + math.sqrt(1.0 - c * c) * q
+    q = c * z + math.sqrt(1.0 - c * c) * draws[:, n + 3:2 * n + 6]
 
     # init phase: uses (0, Theta2), (Theta1, 0), (0, 0)
-    th = np.array([(message_point(m1, params.r1, n, cfg.p1),
-                    message_point(m2, params.r2, n, cfg.p2))
-                   for m1, m2 in messages]).T  # (2, trials)
+    m1s, m2s = zip(*messages)
+    th = np.array((message_points(m1s, params.r1, n, cfg.p1),
+                   message_points(m2s, params.r2, n, cfg.p2)))  # (2, trials)
     x = np.zeros((2, k, n + 3))
     x[0, :, 1] = th[0]
     x[1, :, 0] = th[1]
@@ -427,8 +454,8 @@ def simulate_block(params: SchemeParams, m1: int, m2: int,
                    rng: np.random.Generator) -> TransmissionTrace:
     """Run one full block: init phase, n coded uses, decode.
 
-    Draw order from rng: n+3 receiver noises, n+3 independent EH noise
-    components, n shared NIC symbols.
+    rng supplies 3n + 6 standard normals in one call: n+3 receiver noises,
+    n+3 independent EH noise components, n shared NIC symbols.
     """
     batch = simulate_batch(params, coeff_schedule(params), [(m1, m2)], [rng])
     return batch.trace(0)

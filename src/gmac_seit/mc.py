@@ -1,9 +1,10 @@
 """Monte Carlo harness for the feedback coding scheme.
 
-Trials are independent full blocks.  Each trial's randomness is an
-independent stream derived from (seed, trial-index) via SeedSequence spawn
-keys, so results are bit-identical regardless of execution order; the
-aggregation below runs serially in trial order.
+Trials are independent full blocks.  Trial t's randomness comes from the
+state of SeedSequence(entropy=seed, spawn_key=(t,)), which seeds both its
+numpy Generator (noise) and its message Random, so results are
+bit-identical regardless of execution order; the aggregation below runs
+serially in trial order.
 
 run streams the trials through coder.simulate_batch in consecutive chunks
 of nearly equal size.  A chunk holds at most _CHUNK_FLOATS // (n + 3)
@@ -11,18 +12,24 @@ trials, which bounds each of the engine's trials x (n + 3) arrays to
 _CHUNK_FLOATS floats (256 KiB) whatever the trial count.  The coefficient
 schedule and rho* are computed once per run.  Since every trial draws only
 from its own (seed, trial) streams, the report does not depend on how the
-trials are chunked.  Within a chunk, the receiver's mean is reduced after
-the per-use loop and the decode, energy-rate and energy tail is vectorized
-across trials.  The per-trial Python work left is each trial's streams,
-messages and PAM points (and _decode_exact beyond 2^40 messages), plus
-the aggregation below, which adds in trial order on purpose: np.sum
-(pairwise) or the builtin sum (compensated since Python 3.12) would
-change the last bits of the report.  Every per-trial input to it (the
-decisions, b_hat and the consumed energies) comes from the engine, which
-the tests check bit for bit against tests/_oracles.py::replay_block.
+trials are chunked.  A chunk's seeding is array work: _spawn_states
+hashes the run entropy once and the chunk's spawn keys as uint32 vectors,
+giving each trial's SeedSequence state without building the SeedSequence.
+Within a chunk, each trial's noise is one draw, its PAM points are one
+vector op per user, the receiver's mean is reduced after the per-use loop
+and the decode, energy-rate and energy tail is vectorized across trials.
+The per-trial Python work left is constructing each trial's Generator,
+seeding its message Random and drawing its two messages (and
+_decode_exact beyond 2^40 messages), plus the aggregation below, which
+adds in trial order on purpose: np.sum (pairwise) or the builtin sum
+(compensated since Python 3.12) would change the last bits of the report.
+Every per-trial input to it (the decisions, b_hat and the consumed
+energies) comes from the engine, which the tests check bit for bit against
+tests/_oracles.py::replay_block.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -31,10 +38,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coder import (SchemeParams, TransmissionTrace, coeff_schedule,
-                    expected_energy_rate, simulate_batch, simulate_block)
+                    expected_energy_rate, simulate_batch)
 from .region import _check_feasible_b
 
 _CHUNK_FLOATS = 2 ** 15
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MAX_TRIALS = 2 ** 32  # every spawn key is then one uint32 word
 
 
 @dataclass(frozen=True)
@@ -48,8 +62,8 @@ class SimConfig:
     correlation_times: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= _MAX_TRIALS:
+            raise ValueError(f"trials must lie in 1..{_MAX_TRIALS}")
         if not math.isfinite(self.target_b):
             raise ValueError("target_b must be finite")
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
@@ -93,27 +107,119 @@ class SimReport:
         fh.write("\n")
 
 
-def _trial_streams(seed: int, trial: int):
-    """(numpy Generator, message Random) for one trial, keyed by (seed, trial)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    rng = np.random.default_rng(ss)
-    msg_rng = random.Random(int.from_bytes(
-        ss.generate_state(4, np.uint64).tobytes(), "little"))
-    return rng, msg_rng
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hashmix of value (an int or a uint32 array) under hash
+    constant const; returns the hash and the next constant."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
 
 
-def _trial_inputs(params: SchemeParams, trial: int):
-    """(numpy Generator, (m1, m2)) of one trial, messages uniform on their sets."""
-    rng, msg_rng = _trial_streams(params.seed, trial)
-    m1 = 1 + msg_rng.randrange(params.messages(1))
-    m2 = 1 + msg_rng.randrange(params.messages(2))
-    return rng, (m1, m2)
+def _mix(x: int, y):
+    """SeedSequence's mix of pool word x (an int) with y (an int or a uint32
+    array)."""
+    value = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _pool_prefix(seed: int) -> tuple[list[int], int]:
+    """SeedSequence(entropy=seed, spawn_key=(t,)) pool before t is mixed in.
+
+    Returns the four pool words and the hash constant that mixing t starts
+    from; neither depends on t.  The run entropy is seed's little-endian
+    uint32 words, zero-padded to the pool size because a spawn key follows.
+    """
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (4 - len(words))
+    const = _INIT_A
+    pool = []
+    for w in words[:4]:
+        word, const = _hashmix(w, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for w in words[4:]:
+        for dst in range(4):
+            word, const = _hashmix(w, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    return pool, const
+
+
+def _spawn_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, 4) uint64 rows, row j being
+    SeedSequence(entropy=seed, spawn_key=(lo + j,)).generate_state(4, np.uint64).
+
+    The spawn key, the last entropy word, is hashed into the pool across all
+    trials at once in uint32 arithmetic, then the pool is expanded into the
+    eight output words.
+    """
+    if not 0 <= lo <= hi <= _MAX_TRIALS:
+        raise ValueError(f"trial indices must lie in 0..{_MAX_TRIALS - 1}")
+    prefix, const = _pool_prefix(seed)
+    t = np.arange(lo, hi, dtype=np.uint32)
+    pool = []
+    for x in prefix:
+        key, const = _hashmix(t, const, _MULT_A)
+        pool.append(_mix(x, key))
+    out = np.empty((hi - lo, 8), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(8):
+        out[:, i], const = _hashmix(pool[i % 4], const, _MULT_B)
+    # words 2j, 2j + 1 are the low and high halves of uint64 word j
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _state_seq():
+    """ISeedSequence class that hands PCG64 one precomputed
+    generate_state(4, np.uint64) row; defined on first use, so importing
+    the package does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeq(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.state):
+                raise ValueError(f"{len(self.state)} state words are stored")
+            return self.state
+
+    return StateSeq
+
+
+def _chunk_inputs(params: SchemeParams, lo: int, hi: int):
+    """(messages, Generators) of trials lo..hi-1, keyed by (seed, trial).
+
+    Trial t's numpy Generator and message Random are both seeded from the
+    state of SeedSequence(entropy=seed, spawn_key=(t,)); its messages
+    (m1, m2) are uniform on their index sets.
+    """
+    big1, big2 = params.messages(1), params.messages(2)
+    rngs = []
+    messages = []
+    msg_rng = random.Random()
+    seq = _state_seq()
+    for row in _spawn_states(params.seed, lo, hi):
+        rngs.append(np.random.Generator(np.random.PCG64(seq(row))))
+        msg_rng.seed(int.from_bytes(row.tobytes(), "little"))
+        messages.append((1 + msg_rng.randrange(big1),
+                         1 + msg_rng.randrange(big2)))
+    return messages, rngs
 
 
 def run_trial(params: SchemeParams, trial: int) -> TransmissionTrace:
     """One full block with messages drawn uniformly from their index sets."""
-    rng, (m1, m2) = _trial_inputs(params, trial)
-    return simulate_block(params, m1, m2, rng)
+    return simulate_batch(params, coeff_schedule(params),
+                          *_chunk_inputs(params, trial, trial + 1)).trace(0)
 
 
 def _chunks(trials: int, n: int) -> list[tuple[int, int]]:
@@ -136,9 +242,7 @@ def run(sc: SimConfig) -> SimReport:
     u_samples = {t: [] for t in times}
     sched = coeff_schedule(params)
     for lo, hi in _chunks(sc.trials, params.n):
-        rngs, messages = zip(*(_trial_inputs(params, trial)
-                               for trial in range(lo, hi)))
-        batch = simulate_batch(params, sched, messages, rngs)
+        batch = simulate_batch(params, sched, *_chunk_inputs(params, lo, hi))
         for m_true, m_hat, b_hat, e1, e2 in zip(
                 batch.m_true, batch.m_hat, batch.b_hat, batch.energy1,
                 batch.energy2):

@@ -113,6 +113,41 @@ def naive_posterior(params, yprimes):
     return mean, cov
 
 
+def schedule_loop(params):
+    """The receiver's coefficient table, one scalar step after another.
+
+    Oracle for coeff_schedule: at correlation r (rho* first) step t uses
+    transmitter 2's sign sign2 = sign(r), the innovation coefficients
+    a1 = s1 + r s2', a2 = s2' + r s1 with s2' = sign2 s2, the innovation
+    variance v = s1^2 + s2'^2 + 2 r s1 s2' + 1 and the renormalizers
+    d_i = sqrt(1 - a_i^2 / v); the mean gains are 2^l_i a_i / v, after
+    which l_i gains 0.5 log2(d_i^2) and r becomes (r - a1 a2 / v) / (d1 d2).
+    Returns the (n, 8) rows (sign2, a1, a2, v, d1, d2, gain1, gain2), the
+    final (l1, l2) and the final r.  It reads params' fields and
+    params.rho_star() only.
+    """
+    cfg = params.cfg
+    s1 = math.sqrt(params.beta1 * (cfg.h11 ** 2 * cfg.p1))
+    s2 = math.sqrt(params.beta2 * (cfg.h12 ** 2 * cfg.p2))
+    r = params.rho_star()
+    l1 = l2 = 0.0
+    rows = []
+    for _ in range(params.n):
+        sign2 = -1.0 if r < 0.0 else 1.0
+        s2t = sign2 * s2
+        a1 = s1 + r * s2t
+        a2 = s2t + r * s1
+        v = s1 * s1 + s2t * s2t + 2.0 * r * s1 * s2t + 1.0
+        d1 = math.sqrt(1.0 - a1 * a1 / v)
+        d2 = math.sqrt(1.0 - a2 * a2 / v)
+        rows.append((sign2, a1, a2, v, d1, d2,
+                     2.0 ** l1 * a1 / v, 2.0 ** l2 * a2 / v))
+        l1 += 0.5 * math.log2(d1 * d1)
+        l2 += 0.5 * math.log2(d2 * d2)
+        r = (r - a1 * a2 / v) / (d1 * d2)
+    return np.array(rows).reshape(params.n, 8), (l1, l2), r
+
+
 def energy_rate_moments(params):
     """Exact mean and variance of the energy rate B^(n) = mean(y2_t^2).
 
@@ -176,17 +211,24 @@ def energy_rate_moments(params):
 
 
 class FixedDraws:
-    """Stand-in for a numpy Generator whose standard_normal calls return
-    the given draws in turn (written into out= when one is passed)."""
+    """Stand-in for a numpy Generator whose standard_normal calls serve
+    consecutive slices of the given draws laid end to end (written into
+    out= when one is passed), so one call of the total size and one call
+    per draw see the same numbers, as with a real Generator."""
 
     def __init__(self, *draws):
-        self._draws = iter(draws)
+        self._draws = np.concatenate([np.ravel(d) for d in draws]).astype(float)
+        self._next = 0
 
     def standard_normal(self, size=None, out=None):
-        draw = np.array(next(self._draws), dtype=float)
+        count = out.size if out is not None else int(np.prod(size))
+        draw = self._draws[self._next:self._next + count]
+        if len(draw) < count:
+            raise ValueError("FixedDraws ran out of draws")
+        self._next += count
         if out is None:
-            return draw
-        out[...] = draw
+            return draw.reshape(size).copy()
+        out[...] = draw.reshape(out.shape)
         return out
 
 

@@ -90,6 +90,12 @@ def test_max_energy_rate_values():
         == pytest.approx(41.0)
     assert channel.max_energy_rate(channel.from_snr(0, 0, 4, 9)) \
         == pytest.approx(26.0)
+    # snr21 * snr22 overflows; the rate itself is finite
+    cfg = channel.from_snr(1e-12, 1e-12, 1e300, 1e30)
+    assert cfg.snr21 * cfg.snr22 == math.inf
+    assert channel.max_energy_rate(cfg) == pytest.approx(1e300, rel=1e-12)
+    assert channel.max_energy_rate(channel.from_snr(0, 0, 1e200, 1e200)) \
+        == pytest.approx(4e200, rel=1e-12)
 
 
 def test_norm_condition_rejected():

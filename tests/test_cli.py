@@ -289,6 +289,36 @@ def test_region_non_finite_bounds_rejected(tmp_path, capsys):
         "invalid arguments: region bounds overflow float64 at these SNRs\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["ratio", "--snr-min", "1e200", "--snr-max", "1e300", "--points", "3"],
+    ["sumcap", "--snr", "1e150,1e200,1e-6,1e30", "--points", "3"],
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_table_rejected(tmp_path, capsys, argv, fmt):
+    # the closed forms overflow at these SNRs; no inf or nan row is written
+    out = tmp_path / f"table.{fmt}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv + ["--format", fmt, "--out", str(out)]) == 2
+    assert caught == []
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments: ") and err.count("\n") == 1
+    assert "no data file written" in err
+
+
+def test_simulate_trials_beyond_spawn_keys_rejected(tmp_path, capsys):
+    # trial indices must fit one uint32 spawn-key word; the bound is checked
+    # before any trial range is built
+    out = tmp_path / "sim.json"
+    assert run_cli(["simulate", "--snr", "10,10,10,10", "--beta", "1,1",
+                    "--rate", "0.3,0.3", "--n", "10",
+                    "--trials", str(2**40), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "invalid arguments: trials must lie in 1..4294967296\n")
+
+
 def test_region_grid_too_large_rejected(tmp_path, capsys):
     # 200000^3 grid points need 56.8 PiB per array, beyond any address
     # space, so numpy refuses the first one before allocating anything

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _oracles import FixedDraws, naive_posterior, nearest_index, replay_block
+from _oracles import (FixedDraws, naive_posterior, nearest_index, replay_block,
+                      schedule_loop)
 from gmac_seit import channel, coder, mc, region
 
 SYM10 = channel.from_snr(10, 10, 10, 10)
@@ -345,33 +347,71 @@ EQUIVALENCE_CASES = {
     "beta0": make_params(n=30, r1=0.0, r2=0.4, beta1=0.0, beta2=0.9,
                          seed=4, cfg=channel.from_snr(
                              8, 2, 1, 1, noise_correlation=-0.6)),
+    # long enough that most of coeff_schedule's table repeats its cycle;
+    # a seed above 2^128 spans five uint32 words of run entropy
+    "long": make_params(n=400, r1=0.4, r2=0.3, beta1=0.8, beta2=1.0,
+                        seed=2**130 + 9, cfg=channel.from_snr(10, 3, 2, 5)),
 }
+
+
+def seeded_trial(params, trial):
+    """(m1, m2, Generator) of one trial as the Monte Carlo harness defines
+    it: the numpy Generator and the message Random are seeded from
+    SeedSequence(entropy=seed, spawn_key=(trial,)), and the messages are
+    uniform on their index sets."""
+    ss = np.random.SeedSequence(entropy=params.seed, spawn_key=(trial,))
+    msg_rng = random.Random(int.from_bytes(
+        ss.generate_state(4, np.uint64).tobytes(), "little"))
+    m1 = 1 + msg_rng.randrange(params.messages(1))
+    m2 = 1 + msg_rng.randrange(params.messages(2))
+    return m1, m2, np.random.default_rng(ss)
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
 def test_batched_engine_matches_step_replay(name):
     params = EQUIVALENCE_CASES[name]
     trials = 8
-    replays = []
-    for k in range(trials):
-        rng, (m1, m2) = mc._trial_inputs(params, k)
-        replays.append(replay_block(params, m1, m2, rng))
+    replays = [replay_block(params, *seeded_trial(params, k))
+               for k in range(trials)]
     sched = coder.coeff_schedule(params)
     for _, state in replays:
         assert sched.log2_sigma == state["log2_sigma"]
         assert sched.corr == state["corr"]
-    # batch of one, through simulate_block
+    # batch of one, through simulate_block and through mc.run_trial
     for k in (0, trials - 1):
-        rng, (m1, m2) = mc._trial_inputs(params, k)
-        assert_same_bits(coder.simulate_block(params, m1, m2, rng),
+        assert_same_bits(coder.simulate_block(params, *seeded_trial(params, k)),
                          replays[k][0], k)
-    # the whole set as one batch of eight
-    rngs, messages = zip(*(mc._trial_inputs(params, k) for k in range(trials)))
+        assert_same_bits(mc.run_trial(params, k), replays[k][0], k)
+    # the whole set as one batch of eight, seeded as mc.run seeds it
+    messages, rngs = mc._chunk_inputs(params, 0, trials)
     batch = coder.simulate_batch(params, sched, messages, rngs)
     for k in range(trials):
         assert_same_bits(batch.trace(k), replays[k][0], k)
     if name == "decode":
         assert any(batch.m_hat[k] != batch.m_true[k] for k in range(trials))
+
+
+SCHEDULE_SETTINGS = [
+    (SYM10, 1.0, 1.0),
+    (channel.from_snr(10, 3, 2, 5), 0.9, 0.7),
+    (channel.from_snr(8, 2, 1, 1), 0.0, 0.9),  # rho* = 0
+    (channel.from_snr(100, 1, 1, 1), 1.0, 0.5),
+    (channel.from_snr(0.5, 2, 1, 1), 0.3, 1.0),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 2000, 10_000])
+def test_coeff_schedule_matches_step_loop(n):
+    for cfg, beta1, beta2 in SCHEDULE_SETTINGS:
+        params = make_params(n=n, r1=0.0, r2=0.0, beta1=beta1, beta2=beta2,
+                             cfg=cfg)
+        rows, log2_sigma, corr = schedule_loop(params)
+        sched = coder.coeff_schedule(params)
+        got = np.column_stack([sched.sign2, sched.a[:, :, 0], sched.v,
+                               sched.d[:, :, 0], sched.gain[:, :, 0]])
+        assert got.tobytes() == rows.tobytes(), (beta1, beta2)
+        assert sched.log2_sigma == log2_sigma
+        assert sched.corr == corr
 
 
 def test_error_bound_properties():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import energy_rate_moments
 from gmac_seit import channel, coder, mc
@@ -79,6 +81,10 @@ def test_correlation_trace_near_design_value():
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         make_sc(trials=0)
+    # every trial index must be one uint32 spawn-key word
+    assert make_sc(trials=2**32).trials == 2**32
+    with pytest.raises(ValueError):
+        make_sc(trials=2**32 + 1)
     with pytest.raises(ValueError):
         make_sc(epsilon=-1.0)
     with pytest.raises(ValueError):
@@ -133,6 +139,31 @@ def test_report_independent_of_chunking(monkeypatch):
         assert [hi - lo for lo, hi in mc._chunks(sc.trials, sc.params.n)] \
             == sizes
         assert report_json(sc) == want, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**256 - 1),
+       lo=st.sampled_from([0, 1, 2**32 - 1]))
+def test_spawn_states_match_seed_sequence(seed, lo):
+    hi = min(lo + 3, 2**32)
+    want = [np.random.SeedSequence(entropy=seed, spawn_key=(t,))
+            .generate_state(4, np.uint64) for t in range(lo, hi)]
+    got = mc._spawn_states(seed, lo, hi)
+    assert got.dtype == np.uint64
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_big_seed_report_over_three_chunks(monkeypatch):
+    # SHA-256 of SimReport.to_json recorded with one SeedSequence per trial;
+    # the seed spans seven uint32 words and the trials three chunks
+    params = coder.SchemeParams(cfg=SYM10, n=30, r1=1.35, r2=1.3, beta1=1.0,
+                                beta2=0.9, seed=2**200 + 12345)
+    sc = mc.SimConfig(params=params, trials=10, target_b=35.0,
+                      correlation_times=(1, 30))
+    monkeypatch.setattr(mc, "_CHUNK_FLOATS", 4 * (params.n + 3))
+    assert mc._chunks(sc.trials, params.n) == [(0, 3), (3, 6), (6, 10)]
+    assert hashlib.sha256(report_json(sc).encode()).hexdigest() == \
+        "2cf5c5acf3742fdfa226d6c83a683e5bf4bd5195ef8cd1e1cf36d3260757805d"
 
 
 # SHA-256 of SimReport.to_json, recorded with the one-block-at-a-time
