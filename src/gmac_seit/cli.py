@@ -6,11 +6,13 @@ region, 2 usage error (including a request too large to allocate),
 file included, is read and checked before the output file is opened, so
 a rejected input leaves no data file behind.
 The default simulation seed can be set via the GMAC_SEIT_SEED environment
-variable; an explicit --seed flag wins.
+variable, which only simulate reads; an explicit --seed flag wins, and a
+value that is not a nonnegative integer exits 2.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -151,6 +153,21 @@ def cmd_ratio(args) -> int:
     return EXIT_OK
 
 
+def _seed(args) -> int:
+    """--seed if given, else GMAC_SEIT_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("GMAC_SEIT_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError("GMAC_SEIT_SEED must be a nonnegative integer, "
+                         f"got {text!r}")
+    return seed
+
+
 def cmd_simulate(args) -> int:
     cfg = channel.from_snr(*args.snr)
     beta1, beta2 = args.beta
@@ -158,17 +175,18 @@ def cmd_simulate(args) -> int:
         print("simulate: give exactly one of --rate or --rate-frac",
               file=sys.stderr)
         return EXIT_USAGE
+    seed = _seed(args)
     if args.rate is not None:
         r1, r2 = args.rate
     else:
         params0 = coder.SchemeParams(cfg=cfg, n=args.n, r1=0.0, r2=0.0,
-                                     beta1=beta1, beta2=beta2, seed=args.seed)
+                                     beta1=beta1, beta2=beta2, seed=seed)
         rs = params0.rho_star()
         om = 1.0 - rs * rs
         r1 = args.rate_frac * 0.5 * math.log2(1.0 + beta1 * cfg.snr11 * om)
         r2 = args.rate_frac * 0.5 * math.log2(1.0 + beta2 * cfg.snr12 * om)
     params = coder.SchemeParams(cfg=cfg, n=args.n, r1=r1, r2=r2,
-                                beta1=beta1, beta2=beta2, seed=args.seed)
+                                beta1=beta1, beta2=beta2, seed=seed)
     # checked before SimConfig so that an infeasible target exits 3 even
     # where SimConfig would first reject another field with exit 2
     region._check_feasible_b(cfg, args.target_b)
@@ -181,7 +199,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; it reads no environment, so one serves the process."""
     parser = argparse.ArgumentParser(
         prog="gmac-seit",
         description="Information-energy capacity regions of the two-user "
@@ -241,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "large-n rate limit")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("GMAC_SEIT_SEED", "0")))
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: GMAC_SEIT_SEED, else 0")
     p.add_argument("--target-b", type=float, default=0.0)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--out", default=None)

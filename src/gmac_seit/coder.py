@@ -22,17 +22,23 @@ information and the coherent energy term require.
 
 Engine: the update coefficients (a1, a2, v, d1, d2), transmitter 2's sign
 and the receiver's log2_sigma depend only on SchemeParams, never on the
-data, so coeff_schedule computes them once per block as a length-n table.
-simulate_batch then runs a batch of independent blocks in lockstep: each
-trial keeps its own numpy Generator, and the error recursion over
-t = 1..n runs as numpy vectors across trials.  The per-use loop does only
-what depends on the step before (inputs, y1, y' and the error update); the
-NIC terms are formed for the whole block before it, the receiver's mean is
-reduced from the stored y' after it, and the tail (decoding, energy rate
-and consumed energies) is whole-array work across trials.  simulate_block
-is the batch of one.  The tests check the engine bit for bit against
-tests/_oracles.py::replay_block, an independent replay of one block in
-scalar floats, use by use.
+data, so coeff_schedule computes them once per block: the distinct steps
+of the float recursion (a prefix and one cycle, a few dozen rows) and a
+step -> row index.  simulate_batch then runs a batch of independent blocks
+in lockstep: each trial keeps its own numpy Generator and fills its own
+draw row, and the error recursion over t = 1..n runs on time-major rows
+across trials.  Both users' errors are one (2*trials,) vector; x is
+(n, 2*trials), prefilled with the NIC terms, and y' is (n, trials),
+prefilled with the receiver's known carrier term, so each use runs eleven
+ufunc calls with positional out on operands of one shape.  The engine stores
+only the draws, x and y'; y1 lives in a (trials,) scratch for one use.
+After the loop the receiver's mean is reduced from y' in blocks of uses,
+and the tail (q, the energies and the energy rate) runs on blocks of
+trials, with numpy's pairwise sums over contiguous (trials, n) rows.
+BlockBatch.trace and BlockBatch.u form y1, y2 and u on request, by the
+loop's own expressions.  simulate_block is the batch of one.  The tests
+check the engine bit for bit against tests/_oracles.py::replay_block, an
+independent replay of one block in scalar floats, use by use.
 """
 from __future__ import annotations
 
@@ -267,29 +273,50 @@ def expected_energy_rate(params: SchemeParams, rho: float) -> float:
 class CoeffSchedule:
     """Data-independent coefficients of the n payload updates of one block.
 
-    Row t-1 belongs to step t.  Per-user columns have shape (n, 2, 1), so
-    one row broadcasts against a (2, trials) array of normalized errors.
+    The steps up to the first repeated correlation are stored once, as the
+    rows of rows, and step t uses row index[t - 1]; past its prefix the
+    index runs through a cycle.  sign2, a, v and d are the per-step columns
+    read through index (per-user ones of shape (n, 2, 1)); gain depends on
+    the step itself, not only on its row, and is stored per step.
     """
 
-    sign2: np.ndarray  # (n,) sign transmitter 2 puts on its error
-    a: np.ndarray  # (n, 2, 1) innovation coefficients a1, a2
-    v: np.ndarray  # (n,) innovation variance
-    d: np.ndarray  # (n, 2, 1) renormalizers d1, d2 of the errors
+    rows: np.ndarray  # (R, 6) sign2, a1, a2, v, d1, d2 of each distinct step
+    index: np.ndarray  # (n,) row of step t at t - 1
     gain: np.ndarray  # (n, 2, 1) mean gains 2**log2_sigma_i * a_i / v
     log2_sigma: tuple[float, float]  # receiver state after step n
     corr: float
+
+    @property
+    def sign2(self) -> np.ndarray:
+        """(n,) sign transmitter 2 puts on its error."""
+        return self.rows[self.index, 0]
+
+    @property
+    def a(self) -> np.ndarray:
+        """(n, 2, 1) innovation coefficients a1, a2."""
+        return self.rows[self.index, 1:3, None]
+
+    @property
+    def v(self) -> np.ndarray:
+        """(n,) innovation variance."""
+        return self.rows[self.index, 3]
+
+    @property
+    def d(self) -> np.ndarray:
+        """(n, 2, 1) renormalizers d1, d2 of the errors."""
+        return self.rows[self.index, 4:6, None]
 
 
 def coeff_schedule(params: SchemeParams) -> CoeffSchedule:
     """Iterate the receiver's covariance recursion through all n steps.
 
-    Row t-1 holds the coefficients of step t at the correlation left by
-    step t-1, starting from rho*; log2_sigma and corr are the state after
-    step n.  Each step's coefficients are a function of the correlation
-    alone, and the float recursion reaches a correlation it has seen
-    before within a few dozen steps, so the steps up to that repeat are
-    iterated and the rest of the table is their cycle.  log2_sigma_i is
-    then a sequential running sum, as the step-by-step loop adds it.
+    Step t's coefficients are taken at the correlation left by step t-1,
+    starting from rho*; log2_sigma and corr are the state after step n.
+    Each step's coefficients are a function of the correlation alone, and
+    the float recursion reaches a correlation it has seen before within a
+    few dozen steps, so the steps up to that repeat are iterated and the
+    rest of the block indexes their cycle.  log2_sigma_i is then a
+    sequential running sum, as the step-by-step loop adds it.
     """
     cfg = params.cfg
     n = params.n
@@ -312,32 +339,50 @@ def coeff_schedule(params: SchemeParams) -> CoeffSchedule:
     idx = np.arange(n)
     tail = idx >= len(steps)
     idx[tail] = start + (idx[tail] - start) % period
-    rows = np.array(steps)[idx]
+    rows = np.array(steps)
     log2_sigma = np.add.accumulate(
-        np.concatenate((np.zeros((1, 2)), rows[:, 6:8])), axis=0)
+        np.concatenate((np.zeros((1, 2)), rows[idx, 6:8])), axis=0)
     sigma = np.array([2.0 ** l for l in log2_sigma[:n].ravel().tolist()])
-    gain = sigma.reshape(n, 2) * rows[:, 1:3] / rows[:, 3:4]
+    gain = sigma.reshape(n, 2) * rows[idx, 1:3] / rows[idx, 3:4]
     l1, l2 = log2_sigma[n].tolist()
-    return CoeffSchedule(sign2=rows[:, 0], a=rows[:, 1:3, None], v=rows[:, 3],
-                         d=rows[:, 4:6, None], gain=gain[:, :, None],
-                         log2_sigma=(l1, l2), corr=float(rows[-1, 8]))
+    return CoeffSchedule(rows=rows[:, :6], index=idx, gain=gain[:, :, None],
+                         log2_sigma=(l1, l2), corr=float(rows[idx[-1], 8]))
+
+
+# Bound on simulate_batch's peak memory, in float64s per trial and channel
+# use (n + 3 uses per trial), for n >= 10; mc sizes its chunks by it, and a
+# test checks it with tracemalloc
+PEAK_FLOATS_PER_USE = 9
+
+# the tail works on 1/_TAIL_SPLIT of the trials, and the receiver mean on
+# 1/_TAIL_SPLIT of the uses, at a time
+_TAIL_SPLIT = 8
+
+
+def _init_inputs(th: np.ndarray) -> np.ndarray:
+    """(2, trials, 3) inputs of the init uses (0, Th2), (Th1, 0), (0, 0)."""
+    x = np.zeros((2, th.shape[1], 3))
+    x[0, :, 1] = th[0]
+    x[1, :, 0] = th[1]
+    return x
 
 
 @dataclass
 class BlockBatch:
-    """A batch of simulated blocks; row k of every array is trial k.
+    """A batch of simulated blocks.
 
-    Time runs along the last axis.  The x, y1, y2, z and q arrays start
-    with the three init uses (t = -2, -1, 0), so payload use t sits in
-    column t + 2; w holds the n NIC symbols.
+    x holds the payload inputs time-major: row t-1 is use t, with x1 of
+    every trial followed by x2 of every trial.  Trial j's draws are row j
+    of draws: z (n + 3 receiver noises, init uses first), q (the n + 3
+    harvester noises) and w (the n NIC symbols).  The receiver and
+    harvester outputs are formed on request, by the expressions the engine
+    uses.
     """
 
-    x: np.ndarray  # (2, trials, n+3) inputs of transmitters 1 and 2
-    y1: np.ndarray  # (trials, n+3)
-    y2: np.ndarray
-    z: np.ndarray
-    q: np.ndarray
-    w: np.ndarray  # (trials, n)
+    x: np.ndarray  # (n, 2*trials) inputs of transmitters 1 and 2
+    draws: np.ndarray  # (trials, 3n + 6) z | q | w of each trial
+    th: np.ndarray  # (2, trials) PAM points Theta1, Theta2
+    cfg: ChannelConfig
     nic: np.ndarray  # (2, 1) NIC amplitudes sqrt((1-beta_i) P_i)
     m_true: list[tuple[int, int]]
     m_hat: list[tuple[int, int]]
@@ -347,21 +392,89 @@ class BlockBatch:
 
     def u(self, t: int) -> np.ndarray:
         """(2, trials) IC components of both inputs at payload step t."""
-        return self.x[:, :, t + 2] - self.nic * self.w[:, t - 1]
+        n = len(self.x)
+        w = self.draws[:, 2 * n + 5 + t]
+        return self.x[t - 1].reshape(2, -1) - self.nic * w
 
-    def init_uses(self, k: int) -> list[ChannelUse]:
-        return [ChannelUse(x1=self.x[0, k, j], x2=self.x[1, k, j],
-                           y1=self.y1[k, j], y2=self.y2[k, j],
-                           z=self.z[k, j], q=self.q[k, j]) for j in range(3)]
-
-    def trace(self, k: int) -> TransmissionTrace:
-        u = self.x[:, k, 3:] - self.nic * self.w[k]
+    def trace(self, j: int) -> TransmissionTrace:
+        cfg = self.cfg
+        n, k = len(self.x), len(self.draws)
+        z, q, w = np.split(self.draws[j], (n + 3, 2 * n + 6))
+        x1, x2 = np.concatenate((_init_inputs(self.th[:, j:j + 1])[:, 0],
+                                 self.x[:, j::k].T), axis=1)
+        y1 = cfg.h11 * x1 + cfg.h12 * x2 + z
+        y2 = cfg.h21 * x1 + cfg.h22 * x2 + q
+        init_uses = [ChannelUse(x1=x1[i], x2=x2[i], y1=y1[i], y2=y2[i],
+                                z=z[i], q=q[i]) for i in range(3)]
         return TransmissionTrace(
-            x1=self.x[0, k, 3:], x2=self.x[1, k, 3:], y1=self.y1[k, 3:],
-            y2=self.y2[k, 3:], u1=u[0], u2=u[1], init_uses=self.init_uses(k),
-            m_true=self.m_true[k], m_hat=self.m_hat[k],
-            error=self.m_hat[k] != self.m_true[k], b_hat=self.b_hat[k],
-            energy1=self.energy1[k], energy2=self.energy2[k])
+            x1=x1[3:], x2=x2[3:], y1=y1[3:], y2=y2[3:],
+            u1=x1[3:] - self.nic[0] * w, u2=x2[3:] - self.nic[1] * w,
+            init_uses=init_uses, m_true=self.m_true[j], m_hat=self.m_hat[j],
+            error=self.m_hat[j] != self.m_true[j], b_hat=self.b_hat[j],
+            energy1=self.energy1[j], energy2=self.energy2[j])
+
+
+def _run_uses(params: SchemeParams, sched: CoeffSchedule, err: np.ndarray,
+              x: np.ndarray, z: np.ndarray, yp: np.ndarray) -> None:
+    """The per-use loop of simulate_batch: the encoders' error recursion.
+
+    err is the (2*trials,) normalized errors (en_1 of every trial, then
+    en_2); x, z and yp are (n, 2*trials), (n, trials) and (n, trials) rows,
+    x holding nic_i * w and yp nic_gain * w on entry, and z the payload
+    receiver noises, read through a strided view of the draw rows.  Each
+    use adds the IC inputs into its x row, turns its yp row into y' and
+    updates err in place, through ufunc calls with positional out on
+    operands of one shape: amp and d are (2*trials,) vectors, and a1, a2
+    and v 0-d arrays, which cost no memory per trial, built once per
+    distinct schedule row.
+    """
+    cfg = params.cfg
+    k = len(err) // 2
+    amp1 = math.sqrt(params.beta1 * cfg.p1)
+    amp2 = math.sqrt(params.beta2 * cfg.p2)
+    amps = np.repeat([[amp1, amp2], [amp1, -amp2]], k, axis=1)
+    d = np.repeat(sched.rows[:, 4:6], k, axis=1)
+    coefs = [(amps[int(row[0] < 0.0)], row[1, ...], row[2, ...], row[3, ...],
+              d_row) for row, d_row in zip(sched.rows, d)]
+    h = np.repeat((cfg.h11, cfg.h12), k)
+    u = np.empty(2 * k)
+    hx = np.empty(2 * k)
+    hx1, hx2 = hx[:k], hx[k:]
+    y = np.empty(k)
+    innov = np.empty(2 * k)
+    innov1, innov2 = innov[:k], innov[k:]
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    for (amp, a1, a2, v, d_t), x_t, z_t, yp_t in zip(
+            [coefs[i] for i in sched.index.tolist()], x, z, yp):
+        mul(amp, err, u)
+        add(x_t, u, x_t)  # x_i = nic_i * w + u_i
+        mul(h, x_t, hx)
+        add(hx1, hx2, y)
+        add(y, z_t, y)  # y1 = h11 x1 + h12 x2 + z
+        sub(y, yp_t, yp_t)  # y' = y1 - nic_gain * w
+        mul(a1, yp_t, innov1)
+        mul(a2, yp_t, innov2)
+        div(innov, v, innov)
+        sub(err, innov, err)
+        div(err, d_t, err)  # en_i <- (en_i - a_i y' / v) / d_i
+
+
+def _receiver_mean(gain: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """(2, trials) final MMSE estimates Xihat_i = sum_t gain_i,t y'_t.
+
+    gain is CoeffSchedule.gain and yp the (n, trials) y' rows.  A reduction
+    over the outer axis adds the rows in t order, as the step-by-step
+    running sum from +0.0 does; blocks of uses carry that sum in row 0.
+    """
+    n, k = yp.shape
+    step = -(-n // _TAIL_SPLIT)
+    terms = np.empty((step + 1, 2, k))
+    terms[0] = 0.0
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        np.multiply(gain[lo:hi], yp[lo:hi, None, :], out=terms[1:hi - lo + 1])
+        terms[0] = np.add.reduce(terms[:hi - lo + 1], axis=0)
+    return terms[0].copy()
 
 
 def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
@@ -375,7 +488,10 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
     (n carrier symbols).  The Generator's normal sampler keeps no state
     between calls, so this is the same stream as three calls in that order,
     and a trial's outputs do not depend on the rest of the batch.  Memory
-    peaks at about a dozen floats per trial and channel use.
+    stays under PEAK_FLOATS_PER_USE floats per trial and channel use: the
+    draws (3), x (2) and y' (1), plus one (2*trials,) d vector per distinct
+    schedule row during the loop, or the blocks of the receiver mean and
+    the tail after it.
     """
     cfg = params.cfg
     n = params.n
@@ -384,70 +500,78 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
     for row, rng in zip(draws, rngs):
         rng.standard_normal(out=row)
     z = draws[:, :n + 3]
+    q = draws[:, n + 3:2 * n + 6]  # independent components until the tail
     w = draws[:, 2 * n + 6:]
-    c = cfg.noise_correlation
-    q = c * z + math.sqrt(1.0 - c * c) * draws[:, n + 3:2 * n + 6]
 
-    # init phase: uses (0, Theta2), (Theta1, 0), (0, 0)
     m1s, m2s = zip(*messages)
     th = np.array((message_points(m1s, params.r1, n, cfg.p1),
                    message_points(m2s, params.r2, n, cfg.p2)))  # (2, trials)
-    x = np.zeros((2, k, n + 3))
-    x[0, :, 1] = th[0]
-    x[1, :, 0] = th[1]
-    y1 = np.empty((k, n + 3))
-    y1[:, :3] = cfg.h11 * x[0, :, :3] + cfg.h12 * x[1, :, :3] + z[:, :3]
-    # (2, trials) normalized errors, en_i = Xi_i = sqrt(1-rho*) Z_{-i}
-    # + sqrt(rho*) Z_0 at t = 1; columns 0, 1, 2 of z are Z_{-2}, Z_{-1}, Z_0
+    # normalized errors (en_1 of every trial, then en_2), at t = 1
+    # en_i = Xi_i = sqrt(1-rho*) Z_{-i} + sqrt(rho*) Z_0; columns 0, 1, 2
+    # of z are Z_{-2}, Z_{-1}, Z_0
     rs = params.rho_star()
-    err = np.array((math.sqrt(1.0 - rs) * z[:, 1] + math.sqrt(rs) * z[:, 2],
-                    math.sqrt(1.0 - rs) * z[:, 0] + math.sqrt(rs) * z[:, 2]))
+    err = np.concatenate(
+        (math.sqrt(1.0 - rs) * z[:, 1] + math.sqrt(rs) * z[:, 2],
+         math.sqrt(1.0 - rs) * z[:, 0] + math.sqrt(rs) * z[:, 2]))
 
-    # payload: per use, only the encoders' mirror update of err depends on
-    # the step before; the NIC terms are formed up front and the receiver's
-    # mean is reduced from the stored y' after the loop
-    amp = np.empty((n, 2, 1))
-    amp[:, 0] = math.sqrt(params.beta1 * cfg.p1)
-    amp[:, 1, 0] = sched.sign2 * math.sqrt(params.beta2 * cfg.p2)
-    nic = np.array([[math.sqrt((1.0 - params.beta1) * cfg.p1)],
-                    [math.sqrt((1.0 - params.beta2) * cfg.p2)]])
-    h = np.array([[cfg.h11], [cfg.h12]])
-    np.multiply(nic[:, :, None], w, out=x[:, :, 3:])  # nic_i * w
-    nic_gain = cfg.h11 * nic[0, 0] + cfg.h12 * nic[1, 0]
+    # payload: the NIC terms are written into x and y' before the loop,
+    # which then runs on time-major rows: (2*trials,) for both users,
+    # (trials,) for y'
+    nic1 = math.sqrt((1.0 - params.beta1) * cfg.p1)
+    nic2 = math.sqrt((1.0 - params.beta2) * cfg.p2)
+    x = np.empty((n, 2 * k))
+    np.multiply(nic1, w.T, out=x[:, :k])
+    np.multiply(nic2, w.T, out=x[:, k:])
+    nic_gain = cfg.h11 * nic1 + cfg.h12 * nic2
     yp = np.multiply(nic_gain, w.T, order="C")  # (n, trials)
-    u = np.empty((2, k))
-    hx = np.empty((2, k))
-    innov = np.empty((2, k))
-    for amp_t, a_t, v_t, d_t, z_t, x_t, y_t, yp_t in zip(
-            amp, sched.a, sched.v, sched.d, z.T[3:],
-            x.transpose(2, 0, 1)[3:], y1.T[3:], yp):
-        np.multiply(amp_t, err, out=u)
-        x_t += u  # x_i = u_i + nic_i * w
-        np.multiply(h, x_t, out=hx)
-        np.add(hx[0], hx[1], out=y_t)
-        y_t += z_t  # y1 = h11 x1 + h12 x2 + z
-        np.subtract(y_t, yp_t, out=yp_t)  # y' = y1 - nic_gain * w
-        np.multiply(a_t, yp_t, out=innov)
-        innov /= v_t
-        err -= innov
-        err /= d_t  # en_i <- (en_i - a_i y' / v) / d_i
-    # Xihat_i = sum_t sigma_i,t a_i,t / v_t * y'_t; a reduction over the
-    # outer axis adds the rows in t order from +0.0, as a running sum would
-    mean = np.add.reduce(sched.gain * yp[:, None, :], axis=0, initial=0.0)
-    y2 = cfg.h21 * x[0]  # y2 = h21 x1 + h22 x2 + q, one temporary at a time
-    y2 += cfg.h22 * x[1]
-    y2 += q
+    _run_uses(params, sched, err, x, z[:, 3:].T, yp)
 
-    energy = th * th + np.sum(x[:, :, 3:] ** 2, axis=2)
     if max(params.messages(1), params.messages(2)) > 2**40:
-        m_hat = [_decode_exact(params, err[:, row], sched.log2_sigma, m_true)
-                 for row, m_true in enumerate(messages)]
+        m_hat = [_decode_exact(params, (err[j], err[k + j]),
+                               sched.log2_sigma, m_true)
+                 for j, m_true in enumerate(messages)]
     else:
-        m_hat = list(zip(*decode_batch(params, mean, y1[:, :3]).tolist()))
-    return BlockBatch(x=x, y1=y1, y2=y2, z=z, q=q, w=w, nic=nic,
+        x_init = _init_inputs(th)
+        y_init = cfg.h11 * x_init[0] + cfg.h12 * x_init[1] + z[:, :3]
+        mean = _receiver_mean(sched.gain, yp)
+        m_hat = list(zip(*decode_batch(params, mean, y_init).tolist()))
+    del yp
+
+    # tail, on blocks of trials: q = c z + sqrt(1-c^2) q_ind formed in place
+    # (as sqrt(1-c^2) q_ind + c z, the same sum), then the energies and
+    # b_hat = mean(y2^2) by numpy's pairwise sums over contiguous (trials, n)
+    # rows, y2 = h21 x1 + h22 x2 + q
+    c = cfg.noise_correlation
+    s = math.sqrt(1.0 - c * c)
+    sums = np.empty((2, k))
+    b_hat = np.empty(k)
+    size = -(-k // _TAIL_SPLIT)
+    buf = np.empty((2, size * (n + 3)))
+    for lo in range(0, k, size):
+        hi = min(k, lo + size)
+        qb = q[lo:hi]
+        cz = np.multiply(c, z[lo:hi],
+                         out=buf[0, :qb.size].reshape(qb.shape))
+        np.multiply(qb, s, out=qb)
+        np.add(qb, cz, out=qb)
+        x1, x2 = x[:, lo:hi].T, x[:, k + lo:k + hi].T
+        t1, t2 = buf[:, :x1.size].reshape(2, *x1.shape)
+        np.square(x1, out=t1)
+        np.sum(t1, axis=1, out=sums[0, lo:hi])
+        np.square(x2, out=t1)
+        np.sum(t1, axis=1, out=sums[1, lo:hi])
+        np.multiply(cfg.h21, x1, out=t1)
+        np.multiply(cfg.h22, x2, out=t2)
+        t1 += t2
+        t1 += q[lo:hi, 3:]
+        np.square(t1, out=t1)
+        b_hat[lo:hi] = np.mean(t1, axis=1)
+    energy = th * th + sums
+    return BlockBatch(x=x, draws=draws, th=th, cfg=cfg,
+                      nic=np.array([[nic1], [nic2]]),
                       m_true=[tuple(m) for m in messages], m_hat=m_hat,
-                      b_hat=np.mean(y2[:, 3:] ** 2, axis=1).tolist(),
-                      energy1=energy[0].tolist(), energy2=energy[1].tolist())
+                      b_hat=b_hat.tolist(), energy1=energy[0].tolist(),
+                      energy2=energy[1].tolist())
 
 
 def simulate_block(params: SchemeParams, m1: int, m2: int,

@@ -7,17 +7,19 @@ bit-identical regardless of execution order; the aggregation below runs
 serially in trial order.
 
 run streams the trials through coder.simulate_batch in consecutive chunks
-of nearly equal size.  A chunk holds at most _CHUNK_FLOATS // (n + 3)
-trials, which bounds each of the engine's trials x (n + 3) arrays to
-_CHUNK_FLOATS floats (256 KiB) whatever the trial count.  The coefficient
-schedule and rho* are computed once per run.  Since every trial draws only
-from its own (seed, trial) streams, the report does not depend on how the
-trials are chunked.  A chunk's seeding is array work: _spawn_states
+of nearly equal size.  The chunk budget is in bytes: a chunk holds at most
+_CHUNK_BYTES // (8 PEAK_FLOATS_PER_USE (n + 3)) trials, so the engine's
+arrays peak under _CHUNK_BYTES (3 MB) whatever the trial count; that is
+404 trials at n = 100 and 4 at n = 10^4.  The coefficient schedule and
+rho* are computed once per run.  Since every trial draws only from its
+own (seed, trial) streams, the report does not depend on how the trials
+are chunked.  A chunk's seeding is array work: _spawn_states
 hashes the run entropy once and the chunk's spawn keys as uint32 vectors,
 giving each trial's SeedSequence state without building the SeedSequence.
 Within a chunk, each trial's noise is one draw, its PAM points are one
-vector op per user, the receiver's mean is reduced after the per-use loop
-and the decode, energy-rate and energy tail is vectorized across trials.
+vector op per user, the per-use loop runs on time-major rows across
+trials, and the receiver's mean, the decode, the energy rate and the
+energies are array work after it.
 The per-trial Python work left is constructing each trial's Generator,
 seeding its message Random and drawing its two messages (and
 _decode_exact beyond 2^40 messages), plus the aggregation below, which
@@ -37,11 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coder import (SchemeParams, TransmissionTrace, coeff_schedule,
-                    expected_energy_rate, simulate_batch)
+from .coder import (PEAK_FLOATS_PER_USE, SchemeParams, TransmissionTrace,
+                    coeff_schedule, expected_energy_rate, simulate_batch)
 from .region import _check_feasible_b
 
-_CHUNK_FLOATS = 2 ** 15
+# engine memory per chunk: the ~3 MB a budget of 2^15 floats per
+# trials x (n + 3) array peaked at when the engine held 11.4 floats per use
+_CHUNK_BYTES = 3_000_000
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -224,7 +228,8 @@ def run_trial(params: SchemeParams, trial: int) -> TransmissionTrace:
 
 def _chunks(trials: int, n: int) -> list[tuple[int, int]]:
     """Consecutive [lo, hi) trial ranges of near-equal size within the budget."""
-    count = -(-trials // max(1, _CHUNK_FLOATS // (n + 3)))
+    per_chunk = _CHUNK_BYTES // (8 * PEAK_FLOATS_PER_USE * (n + 3))
+    count = -(-trials // max(1, per_chunk))
     return [(trials * i // count, trials * (i + 1) // count)
             for i in range(count)]
 

@@ -206,6 +206,29 @@ def test_simulate_seed_env_default(tmp_path, monkeypatch):
     assert out3.read_bytes() != out1.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "-1", ""])
+def test_bad_seed_env_only_stops_simulate(tmp_path, monkeypatch, capsys,
+                                          value):
+    monkeypatch.setenv("GMAC_SEIT_SEED", value)
+    assert run_cli(["ratio", "--points", "2", "--out",
+                    str(tmp_path / "r.csv")]) == 0
+    assert run_cli(["sumcap", "--snr", "10,10,10,10", "--points", "2",
+                    "--out", str(tmp_path / "s.csv")]) == 0
+    assert run_cli(["region", "--snr", "10,10,10,10", "--res", "2",
+                    "--out", str(tmp_path / "g.csv")]) == 0
+    argv = ["simulate", "--snr", "10,10,10,10", "--beta", "1,1",
+            "--rate", "0.1,0.1", "--n", "10", "--trials", "2"]
+    capsys.readouterr()
+    out = tmp_path / "sim.json"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("invalid arguments: GMAC_SEIT_SEED must be a nonnegative "
+                   f"integer, got {value!r}\n")
+    assert not out.exists()
+    # an explicit --seed does not read the variable
+    assert run_cli(argv + ["--seed", "3", "--out", str(out)]) == 0
+
+
 def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["region"])  # --snr missing

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -389,6 +390,29 @@ def test_batched_engine_matches_step_replay(name):
         assert_same_bits(batch.trace(k), replays[k][0], k)
     if name == "decode":
         assert any(batch.m_hat[k] != batch.m_true[k] for k in range(trials))
+    # an odd batch: every trial's trace is its batch-of-one trace
+    batch = coder.simulate_batch(params, sched,
+                                 *mc._chunk_inputs(params, 0, 5))
+    for k in range(5):
+        one = mc.run_trial(params, k)
+        assert_same_bits(batch.trace(k), vars(one), k)
+
+
+def test_receiver_mean_matches_replay():
+    # n = 24 reduces in eight blocks of three uses, each carrying the sum
+    params = EQUIVALENCE_CASES["decode"]
+    n, trials = params.n, 5
+    sched = coder.coeff_schedule(params)
+    batch = coder.simulate_batch(params, sched,
+                                 *mc._chunk_inputs(params, 0, trials))
+    nic1, nic2 = batch.nic[:, 0].tolist()
+    nic_gain = params.cfg.h11 * nic1 + params.cfg.h12 * nic2
+    y1 = np.array([batch.trace(k).y1 for k in range(trials)])
+    yp = (y1 - nic_gain * batch.draws[:, 2 * n + 6:]).T
+    want = [replay_block(params, *seeded_trial(params, k))[1]["mean"]
+            for k in range(trials)]
+    got = coder._receiver_mean(sched.gain, yp)
+    assert got.T.tobytes() == np.array(want).tobytes()
 
 
 SCHEDULE_SETTINGS = [
@@ -412,6 +436,41 @@ def test_coeff_schedule_matches_step_loop(n):
         assert got.tobytes() == rows.tobytes(), (beta1, beta2)
         assert sched.log2_sigma == log2_sigma
         assert sched.corr == corr
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_coeff_schedule_rows_of_a_short_block(n):
+    # n is shorter than the first repeat of the correlation (except at
+    # rho* = 0, which repeats at once), so every step has its own row and
+    # the index has no cycle
+    for cfg, beta1, beta2 in SCHEDULE_SETTINGS:
+        params = make_params(n=n, r1=0.0, r2=0.0, beta1=beta1, beta2=beta2,
+                             cfg=cfg)
+        rows, _, _ = schedule_loop(params)
+        sched = coder.coeff_schedule(params)
+        if params.rho_star() == 0.0:
+            assert sched.index.tolist() == [0] * n
+            assert sched.rows.tobytes() == rows[:1, :6].tobytes()
+        else:
+            assert sched.index.tolist() == list(range(n))
+            assert sched.rows.tobytes() == rows[:, :6].tobytes()
+
+
+@pytest.mark.parametrize("trials, n", [(250, 100), (10, 2000)])
+def test_simulate_batch_peak_memory(trials, n):
+    # 30-bit messages at n = 100 take decode_batch and the blocked receiver
+    # mean; 600-bit ones at n = 2000 take _decode_exact
+    params = make_params(n=n, r1=0.3, r2=0.3)
+    sched = coder.coeff_schedule(params)
+    messages, rngs = mc._chunk_inputs(params, 0, trials)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        coder.simulate_batch(params, sched, messages, rngs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= coder.PEAK_FLOATS_PER_USE * trials * (n + 3) * 8
 
 
 def test_error_bound_properties():
@@ -462,13 +521,10 @@ def test_block_power_accounting():
 def test_block_u_variance_and_correlation():
     params = make_params(n=3, r1=0.2, r2=0.2)
     rs = params.rho_star()
-    u1 = []
-    u2 = []
-    for k in range(4000):
-        trace = mc.run_trial(params, k)
-        u1.append(trace.u1[2])
-        u2.append(trace.u2[2])
-    u1, u2 = np.array(u1), np.array(u2)
+    # trials 0..3999 of mc.run_trial, as one batch
+    batch = coder.simulate_batch(params, coder.coeff_schedule(params),
+                                 *mc._chunk_inputs(params, 0, 4000))
+    u1, u2 = batch.u(3)
     # transmitted IC power is beta_i P_i at every t
     assert np.mean(u1**2) == pytest.approx(SYM10.p1, rel=0.1)
     corr = np.mean((u1 - u1.mean()) * (u2 - u2.mean())) / (u1.std() * u2.std())

@@ -130,15 +130,22 @@ def report_json(sc):
 def test_report_independent_of_chunking(monkeypatch):
     sc = make_sc(n=30, trials=9, r=1.0, target_b=35.0,
                  correlation_times=(1, 15, 30))
-    uses = sc.params.n + 3
+    trial_bytes = 8 * coder.PEAK_FLOATS_PER_USE * (sc.params.n + 3)
     want = report_json(sc)
     for budget, sizes in ((1, [1] * 9),  # one trial per chunk
-                          (8 * uses, [4, 5]),  # trials = chunk + 1
-                          (9 * uses, [9])):  # one chunk
-        monkeypatch.setattr(mc, "_CHUNK_FLOATS", budget)
+                          (8 * trial_bytes, [4, 5]),  # trials = chunk + 1
+                          (9 * trial_bytes, [9])):  # one chunk
+        monkeypatch.setattr(mc, "_CHUNK_BYTES", budget)
         assert [hi - lo for lo, hi in mc._chunks(sc.trials, sc.params.n)] \
             == sizes
         assert report_json(sc) == want, budget
+
+
+def test_chunks_hold_at_least_the_float_budget_trials():
+    # a chunk of a 2^15-float budget held 32768 // (n + 3) trials; the byte
+    # budget holds at least as many
+    assert mc._chunks(318, 100) == [(0, 318)]
+    assert mc._chunks(3, 10_000) == [(0, 3)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,7 +167,8 @@ def test_big_seed_report_over_three_chunks(monkeypatch):
                                 beta2=0.9, seed=2**200 + 12345)
     sc = mc.SimConfig(params=params, trials=10, target_b=35.0,
                       correlation_times=(1, 30))
-    monkeypatch.setattr(mc, "_CHUNK_FLOATS", 4 * (params.n + 3))
+    monkeypatch.setattr(mc, "_CHUNK_BYTES",
+                        4 * 8 * coder.PEAK_FLOATS_PER_USE * (params.n + 3))
     assert mc._chunks(sc.trials, params.n) == [(0, 3), (3, 6), (6, 10)]
     assert hashlib.sha256(report_json(sc).encode()).hexdigest() == \
         "2cf5c5acf3742fdfa226d6c83a683e5bf4bd5195ef8cd1e1cf36d3260757805d"
