@@ -74,18 +74,6 @@ class ChannelConfig:
         return self.p1 if i == 1 else self.p2
 
 
-@dataclass(frozen=True)
-class ChannelUse:
-    """One channel use: inputs, both outputs and the noise realizations."""
-
-    x1: float
-    x2: float
-    y1: float
-    y2: float
-    z: float
-    q: float
-
-
 def from_snr(snr11: float, snr12: float, snr21: float, snr22: float,
              noise_correlation: float = 0.0) -> ChannelConfig:
     """Build a config realizing the given SNR quadruple.

@@ -145,8 +145,7 @@ def cmd_ratio(args) -> int:
     for s in grid:
         cfg = channel.from_snr(args.asym * s, s, args.asym * s, s)
         ratio = region.feedback_gain_ratio(cfg)
-        limit = region.gain_ratio_limit_high_snr(
-            region.AsymmetryRatios.from_config(cfg, i=1))
+        limit = region.gain_ratio_limit_high_snr(cfg.snr21 / cfg.snr22)
         rows.append((s, ratio, limit))
     _write_table(args.out, args.format, ("snr", "ratio", "limit_high_snr"),
                  rows)

@@ -18,7 +18,9 @@ Sign convention: the posterior error correlation flips sign at every
 update, so transmitter 2 flips the sign of its transmitted error whenever
 the current error correlation is negative; this keeps the correlation of
 (U_1, U_2) pinned at +rho* each step, which both the per-step mutual
-information and the coherent energy term require.
+information and the coherent energy term require.  The decoders divide by
+sqrt(1 - rho*): region.solve_rho_star returns 0 or the midpoint of a
+bisection bracket inside [0, 1], so rho* < 1 always holds.
 
 Engine: the update coefficients (a1, a2, v, d1, d2), transmitter 2's sign
 and the receiver's log2_sigma depend only on SchemeParams, never on the
@@ -36,7 +38,8 @@ After the loop the receiver's mean is reduced from y' in blocks of uses,
 and the tail (q, the energies and the energy rate) runs on blocks of
 trials, with numpy's pairwise sums over contiguous (trials, n) rows.
 BlockBatch.trace and BlockBatch.u form y1, y2 and u on request, by the
-loop's own expressions.  simulate_block is the batch of one.  The tests
+loop's own expressions; a trace holds its three init uses as one (3, 6)
+array.  simulate_block is the batch of one.  The tests
 check the engine bit for bit against tests/_oracles.py::replay_block, an
 independent replay of one block in scalar floats, use by use.
 """
@@ -48,12 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelUse
+from .channel import ChannelConfig
 from .region import OperatingPoint, region_box_fb, solve_rho_star
-
-
-class DegenerateRhoError(ValueError):
-    """rho* = 1 cannot occur at finite SNR; defensive guard."""
 
 
 def message_count(n: int, rate: float) -> int:
@@ -127,11 +126,6 @@ def message_points(ms: Sequence[int], rate: float, n: int,
     return math.sqrt(p) * (1.0 - frac)
 
 
-def message_point(m: int, rate: float, n: int, p: float) -> float:
-    """PAM point of one message index m; see message_points."""
-    return float(message_points([m], rate, n, p)[0])
-
-
 @dataclass
 class TransmissionTrace:
     """Everything observable about one simulated block."""
@@ -142,7 +136,7 @@ class TransmissionTrace:
     y2: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    init_uses: list
+    init_uses: np.ndarray  # (3, 6) x1, x2, y1, y2, z, q of each init use
     m_true: tuple[int, int]
     m_hat: tuple[int, int]
     error: bool
@@ -179,8 +173,6 @@ def decode_batch(params: SchemeParams, mean: np.ndarray,
     equivalent log-domain rule beyond that).
     """
     rs = params.rho_star()
-    if rs >= 1.0:
-        raise DegenerateRhoError("rho* = 1")
     cfg = params.cfg
     out = np.ones((2, len(y_init)), dtype=np.int64)
     for i, y_obs in ((1, y_init[:, 1]), (2, y_init[:, 0])):
@@ -209,8 +201,6 @@ def _decode_exact(params: SchemeParams, err_norm, log2_sigma,
     the underflow of both err and delta at large n.
     """
     rs = params.rho_star()
-    if rs >= 1.0:
-        raise DegenerateRhoError("rho* = 1")
     cfg = params.cfg
     out = []
     for i in (1, 2):
@@ -404,12 +394,11 @@ class BlockBatch:
                                  self.x[:, j::k].T), axis=1)
         y1 = cfg.h11 * x1 + cfg.h12 * x2 + z
         y2 = cfg.h21 * x1 + cfg.h22 * x2 + q
-        init_uses = [ChannelUse(x1=x1[i], x2=x2[i], y1=y1[i], y2=y2[i],
-                                z=z[i], q=q[i]) for i in range(3)]
         return TransmissionTrace(
             x1=x1[3:], x2=x2[3:], y1=y1[3:], y2=y2[3:],
             u1=x1[3:] - self.nic[0] * w, u2=x2[3:] - self.nic[1] * w,
-            init_uses=init_uses, m_true=self.m_true[j], m_hat=self.m_hat[j],
+            init_uses=np.column_stack([a[:3] for a in (x1, x2, y1, y2, z, q)]),
+            m_true=self.m_true[j], m_hat=self.m_hat[j],
             error=self.m_hat[j] != self.m_true[j], b_hat=self.b_hat[j],
             energy1=self.energy1[j], energy2=self.energy2[j])
 

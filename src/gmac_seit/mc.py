@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coder import (PEAK_FLOATS_PER_USE, SchemeParams, TransmissionTrace,
-                    coeff_schedule, expected_energy_rate, simulate_batch)
+from .coder import (PEAK_FLOATS_PER_USE, SchemeParams, coeff_schedule,
+                    expected_energy_rate, simulate_batch)
 from .region import _check_feasible_b
 
 # engine memory per chunk: the ~3 MB a budget of 2^15 floats per
@@ -218,12 +218,6 @@ def _chunk_inputs(params: SchemeParams, lo: int, hi: int):
         messages.append((1 + msg_rng.randrange(big1),
                          1 + msg_rng.randrange(big2)))
     return messages, rngs
-
-
-def run_trial(params: SchemeParams, trial: int) -> TransmissionTrace:
-    """One full block with messages drawn uniformly from their index sets."""
-    return simulate_batch(params, coeff_schedule(params),
-                          *_chunk_inputs(params, trial, trial + 1)).trace(0)
 
 
 def _chunks(trials: int, n: int) -> list[tuple[int, int]]:

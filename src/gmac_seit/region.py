@@ -3,9 +3,10 @@
 Everything here is a pure function of a ChannelConfig.  Rate bounds for a
 fixed power split (beta1, beta2) and input correlation rho form a box
 (RegionBoxFB); the capacity region is the union of those boxes.  The
-module also carries the scalar root-finders (rho*, rho_alpha), the
-piecewise sum-capacity formulas with and without feedback, a time-sharing
-baseline, and the feedback energy-gain analytics.
+module also carries the sum-rate-optimal correlation rho*, the energy-rate
+correlation bounds xi and rho_min, the piecewise sum-capacity formulas with
+and without feedback, a time-sharing baseline, the feedback energy-gain
+analytics, and the Pareto boundary sample behind the region CSV.
 """
 from __future__ import annotations
 
@@ -77,28 +78,6 @@ class RegionBoxFB:
 
 
 @dataclass(frozen=True)
-class AsymmetryRatios:
-    """SNR ratios nu_i = SNR_1i/SNR_1j, eta_i = SNR_2i/SNR_2j, psi_i = SNR_2i/SNR_1i."""
-
-    nu_i: float
-    eta_i: float
-    psi_i: float
-
-    def __post_init__(self):
-        for name in ("nu_i", "eta_i", "psi_i"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be strictly positive and finite")
-
-    @classmethod
-    def from_config(cls, cfg: ChannelConfig, i: int = 1) -> "AsymmetryRatios":
-        j = 2 if i == 1 else 1
-        s1i, s1j = cfg.snr(1, i), cfg.snr(1, j)
-        s2i, s2j = cfg.snr(2, i), cfg.snr(2, j)
-        return cls(nu_i=s1i / s1j, eta_i=s2i / s2j, psi_i=s2i / s1i)
-
-
-@dataclass(frozen=True)
 class BoundarySample:
     """A Pareto-dominant rate triplet together with the operating point behind it."""
 
@@ -153,31 +132,6 @@ def solve_rho_star(cfg: ChannelConfig, beta1: float, beta2: float) -> float:
     if beta1 * cfg.snr11 <= 0.0 or beta2 * cfg.snr12 <= 0.0:
         return 0.0
     return _bisect_root(lambda r: phi(cfg, beta1, beta2, r), 0.0, 1.0)
-
-
-def solve_rho_alpha(cfg: ChannelConfig, alpha1: float, beta1: float,
-                    beta2: float) -> float:
-    """Optimal IC correlation when transmitter 1 rate-splits a fraction alpha1.
-
-    alpha1 = 1 collapses to rho*(beta1, beta2); a zero split or zero
-    information SNR collapses to 0.
-    """
-    if not 0.0 <= alpha1 <= 1.0:
-        raise ValueError("alpha1 outside [0,1]")
-    if beta1 * cfg.snr11 <= 0.0 or beta2 * cfg.snr12 <= 0.0:
-        return 0.0
-    if alpha1 == 1.0:
-        return solve_rho_star(cfg, beta1, beta2)
-    d = 1.0 + alpha1 * beta1 * cfg.snr11
-    a = (1.0 - alpha1) * beta1 * cfg.snr11
-    c = beta2 * cfg.snr12
-
-    def g(x: float) -> float:
-        lhs = 1.0 + (a + c + 2.0 * x * math.sqrt(a * c)) / d
-        rhs = (1.0 + a * (1.0 - x * x) / d) * (1.0 + c * (1.0 - x * x) / d)
-        return lhs - rhs
-
-    return _bisect_root(g, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +199,6 @@ def region_box_fb(cfg: ChannelConfig, op: OperatingPoint) -> RegionBoxFB:
     bounds = _boxes(cfg, np.array([op.beta1]), np.array([op.beta2]),
                     np.array([op.rho]))
     return RegionBoxFB(*(float(v[0]) for v in bounds))
-
-
-def region_box_nf(cfg: ChannelConfig, beta1: float, beta2: float) -> RegionBoxFB:
-    # no feedback: rho = 0 in the rate bounds and no correlated-IC energy term
-    return region_box_fb(cfg, OperatingPoint(beta1, beta2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +297,6 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
 # capacity formulas in b
 
 
-def max_individual_rate(cfg: ChannelConfig, i: int, b: float) -> float:
-    """Largest single-user rate at energy rate b; same with or without feedback."""
-    if i not in (1, 2):
-        raise ValueError("transmitter index must be 1 or 2")
-    x = xi(cfg, b)
-    return 0.5 * log2(1.0 + (1.0 - x * x) * cfg.snr(1, i))
-
-
 def sum_capacity_fb(cfg: ChannelConfig, b: float) -> float:
     """Information sum-capacity with feedback at energy rate b (0 beyond max)."""
     if b < 0:
@@ -386,7 +327,9 @@ def sum_capacity_nf(cfg: ChannelConfig, b: float) -> float:
     bmax = max_energy_rate(cfg)
     if b <= edge:
         x = xi(cfg, min(b, bmax))
-        return 0.5 * log2(1.0 + s11 + s12 - 2.0 * x * math.sqrt(s11 * s12))
+        arg = 1.0 + s11 + s12 - 2.0 * x * math.sqrt(s11 * s12)
+        # >= 1 + (sqrt(s11) - sqrt(s12))^2 in exact arithmetic, not in floats
+        return 0.5 * log2(max(1.0, arg) if math.isfinite(arg) else arg)
     if b < bmax:
         x = xi(cfg, b)
         s = s11 if s11 >= s12 else s12  # argmax, ties toward transmitter 1
@@ -455,9 +398,8 @@ def feedback_gain_ratio(cfg: ChannelConfig) -> float:
     return 1.0 + 2.0 * math.sqrt((1.0 - gamma) * s21 * s22) / (1.0 + s21 + s22)
 
 
-def gain_ratio_limit_high_snr(ratios: AsymmetryRatios) -> float:
-    """High-SNR limit of feedback_gain_ratio; depends only on eta."""
-    eta = ratios.eta_i
+def gain_ratio_limit_high_snr(eta: float) -> float:
+    """High-SNR limit of feedback_gain_ratio at eta = SNR21 / SNR22."""
     return 1.0 + 2.0 * math.sqrt(eta) / (1.0 + eta)
 
 
@@ -529,12 +471,6 @@ def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
     rows = np.stack([np.column_stack([ops, r1b, c1, bb]),
                      np.column_stack([ops, c2, r2b, bb])], axis=1)
     return _pareto_filter(rows.reshape(-1, 6))
-
-
-def sample_boundary(cfg: ChannelConfig, feedback: bool = True,
-                    resolution: int = 32) -> list[RateTriplet]:
-    return [rec.triplet for rec in
-            sample_boundary_records(cfg, feedback, resolution)]
 
 
 CSV_HEADER = "beta1,beta2,rho,r1,r2,b"

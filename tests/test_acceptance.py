@@ -111,8 +111,8 @@ def test_acceptance_05_sum_capacity_continuity():
 
 
 def test_acceptance_06_region_inclusion():
-    samples = region.sample_boundary(SYM10, feedback=False, resolution=32)
-    samples = samples[:1000]
+    samples = [rec.triplet for rec in region.sample_boundary_records(
+        SYM10, feedback=False, resolution=32)[:1000]]
     bad = [s for s in samples
            if not region.contains(SYM10, s, feedback=True, grid_n=64)]
     ok = len(samples) >= 1000 and not bad

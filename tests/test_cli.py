@@ -137,15 +137,21 @@ def test_region_json(tmp_path):
 
 
 def test_sumcap_fb_dominates_nf(tmp_path):
+    # at SNR 1e-6 the no-feedback rate at b = b_max is log2 of a sum that
+    # is 1 in exact arithmetic, which rounding once took below 1
     out = tmp_path / "sumcap.csv"
-    assert run_cli(["sumcap", "--snr", "10,10,10,10", "--points", "41",
-                    "--out", str(out)]) == 0
-    header, rows = read_csv(out)
-    assert header == ["b", "rsum_fb", "rsum_nf"]
-    assert rows[0, 0] == 0.0 and rows[-1, 0] == pytest.approx(41.0)
-    assert (rows[:, 1] >= rows[:, 2] - 1e-12).all()
-    assert rows[-1, 1] == pytest.approx(0.0, abs=1e-12)
-    assert rows[-1, 2] == pytest.approx(0.0, abs=1e-12)
+    for snr in ("10,10,10,10", "1e-6,1e-6,1e-6,1e-6"):
+        assert run_cli(["sumcap", "--snr", snr, "--points", "41",
+                        "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["b", "rsum_fb", "rsum_nf"]
+        b_max = channel.max_energy_rate(
+            channel.from_snr(*map(float, snr.split(","))))
+        assert rows[0, 0] == 0.0 and rows[-1, 0] == b_max
+        assert (rows[:, 1:] >= 0.0).all(), snr
+        assert (rows[:, 1] >= rows[:, 2] - 1e-12).all()
+        assert rows[-1, 1] == pytest.approx(0.0, abs=1e-12)
+        assert rows[-1, 2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ratio_endpoints(tmp_path):

@@ -62,9 +62,9 @@ def decode(params, mean, y_init):
 # --- message points -----------------------------------------------------------
 
 def test_message_point_values():
-    assert coder.message_point(1, 1.0, 4, 9.0) == pytest.approx(3.0)
-    assert coder.message_point(3, 0.5, 4, 1.0) == pytest.approx(0.0)
-    pts = [coder.message_point(m, 1.0, 2, 1.0) for m in (1, 2, 3, 4)]
+    assert coder.message_points([1], 1.0, 4, 9.0)[0] == pytest.approx(3.0)
+    assert coder.message_points([3], 0.5, 4, 1.0)[0] == pytest.approx(0.0)
+    pts = coder.message_points([1, 2, 3, 4], 1.0, 2, 1.0)
     deltas = np.diff(pts)
     assert np.allclose(deltas, -0.5)
     assert all(-1.0 < p <= 1.0 for p in pts)
@@ -72,9 +72,9 @@ def test_message_point_values():
 
 def test_message_point_out_of_range():
     with pytest.raises(ValueError):
-        coder.message_point(5, 1.0, 2, 1.0)
+        coder.message_points([5], 1.0, 2, 1.0)
     with pytest.raises(ValueError):
-        coder.message_point(0, 1.0, 2, 1.0)
+        coder.message_points([0], 1.0, 2, 1.0)
 
 
 def test_message_count_huge():
@@ -91,9 +91,9 @@ def test_init_phase_zero_noise():
     params = make_params()
     tr = block_on_draws(params, (0.0, 0.0, 0.0))
     assert tr.u1[0] == 0.0 and tr.u2[0] == 0.0  # Xi = 0
-    uses = tr.init_uses
-    assert uses[0].x1 == 0.0 and uses[1].x2 == 0.0 and uses[2].x1 == 0.0
-    assert uses[1].x1 == pytest.approx(math.sqrt(SYM10.p1))  # m=1 anchor
+    x1, x2 = tr.init_uses[:, 0], tr.init_uses[:, 1]
+    assert x1[0] == 0.0 and x2[1] == 0.0 and x1[2] == 0.0
+    assert x1[1] == pytest.approx(math.sqrt(SYM10.p1))  # m=1 anchor
 
 
 def test_init_phase_rho_zero_weights():
@@ -318,10 +318,6 @@ def test_decode_exact_matches_decoder_path():
 
 def as_bits(field):
     """A trace field in a form whose == compares floats bit for bit."""
-    if isinstance(field, list):  # the three init uses
-        return [np.array(use if isinstance(use, tuple)
-                         else dataclasses.astuple(use)).tobytes()
-                for use in field]
     if isinstance(field, (tuple, bool)):
         return field
     return np.asarray(field, dtype=float).tobytes()
@@ -378,11 +374,10 @@ def test_batched_engine_matches_step_replay(name):
     for _, state in replays:
         assert sched.log2_sigma == state["log2_sigma"]
         assert sched.corr == state["corr"]
-    # batch of one, through simulate_block and through mc.run_trial
+    # batch of one, through simulate_block
     for k in (0, trials - 1):
         assert_same_bits(coder.simulate_block(params, *seeded_trial(params, k)),
                          replays[k][0], k)
-        assert_same_bits(mc.run_trial(params, k), replays[k][0], k)
     # the whole set as one batch of eight, seeded as mc.run seeds it
     messages, rngs = mc._chunk_inputs(params, 0, trials)
     batch = coder.simulate_batch(params, sched, messages, rngs)
@@ -390,12 +385,11 @@ def test_batched_engine_matches_step_replay(name):
         assert_same_bits(batch.trace(k), replays[k][0], k)
     if name == "decode":
         assert any(batch.m_hat[k] != batch.m_true[k] for k in range(trials))
-    # an odd batch: every trial's trace is its batch-of-one trace
+    # an odd batch: a trial's trace does not depend on the batch size
     batch = coder.simulate_batch(params, sched,
                                  *mc._chunk_inputs(params, 0, 5))
     for k in range(5):
-        one = mc.run_trial(params, k)
-        assert_same_bits(batch.trace(k), vars(one), k)
+        assert_same_bits(batch.trace(k), replays[k][0], k)
 
 
 def test_receiver_mean_matches_replay():
@@ -484,7 +478,7 @@ def test_error_bound_properties():
     assert all(x <= y + 1e-18 for x, y in zip(bounds, bounds[1:]))
     p0 = make_params(n=50, r1=0.0, r2=0.0)
     assert coder.error_bound(p0)[0] <= 1.0
-    trace = mc.run_trial(p0, 0)
+    trace = coder.simulate_block(p0, *seeded_trial(p0, 0))
     assert not trace.error
 
 
@@ -506,11 +500,13 @@ def test_expected_energy_rate_values():
 
 def test_block_power_accounting():
     params = make_params(n=400, r1=0.5, r2=0.5, beta1=0.7, beta2=0.7)
-    traces = [mc.run_trial(params, k) for k in range(40)]
+    batch = coder.simulate_batch(params, coder.coeff_schedule(params),
+                                 *mc._chunk_inputs(params, 0, 40))
+    traces = [batch.trace(k) for k in range(40)]
     for tr in traces:
         # init phase spends at most P_i per active use
-        assert tr.init_uses[1].x1 ** 2 <= SYM10.p1 + 1e-12
-        assert tr.init_uses[0].x2 ** 2 <= SYM10.p2 + 1e-12
+        assert tr.init_uses[1, 0] ** 2 <= SYM10.p1 + 1e-12  # x1 of use 1
+        assert tr.init_uses[0, 1] ** 2 <= SYM10.p2 + 1e-12  # x2 of use 0
     # mean consumed energy per transmitter stays near the (n+1) P_i design
     mean_e1 = np.mean([tr.energy1 for tr in traces])
     n = params.n
@@ -521,7 +517,7 @@ def test_block_power_accounting():
 def test_block_u_variance_and_correlation():
     params = make_params(n=3, r1=0.2, r2=0.2)
     rs = params.rho_star()
-    # trials 0..3999 of mc.run_trial, as one batch
+    # trials 0..3999 of mc.run, as one batch
     batch = coder.simulate_batch(params, coder.coeff_schedule(params),
                                  *mc._chunk_inputs(params, 0, 4000))
     u1, u2 = batch.u(3)

@@ -18,6 +18,11 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 pos_unit = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
 
 
+def boundary_triplets(cfg, feedback, resolution):
+    return [rec.triplet for rec in region.sample_boundary_records(
+        cfg, feedback=feedback, resolution=resolution)]
+
+
 # --- phi and rho* -----------------------------------------------------------
 
 def test_phi_hand_value():
@@ -63,26 +68,6 @@ def test_rho_star_symmetry():
         pytest.approx(region.solve_rho_star(SYM10, 0.7, 0.3), abs=1e-11)
 
 
-def test_rho_alpha_branches():
-    assert region.solve_rho_alpha(SYM10, 1.0, 0.5, 0.5) == \
-        region.solve_rho_star(SYM10, 0.5, 0.5)
-    assert region.solve_rho_alpha(SYM10, 0.0, 1.0, 1.0) == \
-        pytest.approx(region.solve_rho_star(SYM10, 1.0, 1.0), abs=1e-11)
-    assert region.solve_rho_alpha(SYM10, 0.5, 0.0, 1.0) == 0.0
-
-
-def test_rho_alpha_residual():
-    a1, b1, b2 = 0.5, 1.0, 1.0
-    x = region.solve_rho_alpha(SYM10, a1, b1, b2)
-    assert 0.0 < x < 1.0
-    d = 1.0 + a1 * b1 * SYM10.snr11
-    a = (1.0 - a1) * b1 * SYM10.snr11
-    c = b2 * SYM10.snr12
-    lhs = 1.0 + (a + c + 2.0 * x * math.sqrt(a * c)) / d
-    rhs = (1.0 + a * (1.0 - x * x) / d) * (1.0 + c * (1.0 - x * x) / d)
-    assert lhs == pytest.approx(rhs, abs=1e-9)
-
-
 # --- xi / rho_min ------------------------------------------------------------
 
 def test_xi_values():
@@ -125,10 +110,8 @@ def test_region_box_hand_values():
     box = region.region_box_fb(SYM10, region.OperatingPoint(1.0, 1.0, 0.0))
     assert box.rsum_max == pytest.approx(0.5 * math.log2(21))
     assert box.b_max == pytest.approx(21.0)
-    nf = region.region_box_nf(SYM10, 1.0, 1.0)
-    assert nf == box
-    assert nf.r1_max == pytest.approx(0.5 * math.log2(11))
-    nf2 = region.region_box_nf(SYM10, 1.0, 0.0)
+    assert box.r1_max == pytest.approx(0.5 * math.log2(11))
+    nf2 = region.region_box_fb(SYM10, region.OperatingPoint(1.0, 0.0, 0.0))
     assert nf2.b_max == pytest.approx(21.0)
     assert nf2.r2_max == 0.0
 
@@ -231,8 +214,7 @@ def test_contains_verdicts_golden_digest():
     bits = []
     for snr in ((10, 10, 10, 10), (10, 3, 2, 5)):
         cfg = channel.from_snr(*snr)
-        base = region.sample_boundary(cfg, feedback=True,
-                                      resolution=12)[::32]
+        base = boundary_triplets(cfg, True, 12)[::32]
         for fb in (True, False):
             for grid in (8, 16):
                 for s in (1.0, 1.001, 0.999):
@@ -246,14 +228,6 @@ def test_contains_verdicts_golden_digest():
 
 
 # --- capacities in b ----------------------------------------------------------
-
-def test_max_individual_rate_values():
-    assert region.max_individual_rate(SYM10, 1, 15.0) == \
-        pytest.approx(0.5 * math.log2(11))
-    assert region.max_individual_rate(SYM10, 2, 41.0) == pytest.approx(0.0)
-    assert region.max_individual_rate(SYM10, 1, 31.0) == \
-        pytest.approx(0.5 * math.log2(8.5))
-
 
 def test_sum_capacity_fb_values():
     rs = region.solve_rho_star(SYM10, 1.0, 1.0)
@@ -356,23 +330,15 @@ def test_gain_ratio_bounds(s11, s12, s21, s22):
 
 
 def test_gain_ratio_limit_values():
-    mk = lambda eta: region.AsymmetryRatios(nu_i=1.0, eta_i=eta, psi_i=1.0)
-    assert region.gain_ratio_limit_high_snr(mk(1.0)) == pytest.approx(2.0)
-    assert region.gain_ratio_limit_high_snr(mk(4.0)) == pytest.approx(1.8)
-    assert region.gain_ratio_limit_high_snr(mk(0.25)) == pytest.approx(1.8)
-
-
-def test_asymmetry_ratios_from_config():
-    ar = region.AsymmetryRatios.from_config(ASYM, i=1)
-    assert ar.nu_i == pytest.approx(10 / 3)
-    assert ar.eta_i == pytest.approx(5 / 7)
-    assert ar.psi_i == pytest.approx(0.5)
+    assert region.gain_ratio_limit_high_snr(1.0) == pytest.approx(2.0)
+    assert region.gain_ratio_limit_high_snr(4.0) == pytest.approx(1.8)
+    assert region.gain_ratio_limit_high_snr(0.25) == pytest.approx(1.8)
 
 
 # --- boundary sampling ----------------------------------------------------------
 
 def test_sample_boundary_includes_pure_energy_point():
-    triplets = region.sample_boundary(SYM10, feedback=True, resolution=2)
+    triplets = boundary_triplets(SYM10, True, 2)
     assert any(t.r1 == 0.0 and t.r2 == 0.0 and t.b == pytest.approx(41.0)
                for t in triplets)
 
@@ -386,7 +352,7 @@ snr_range = st.floats(min_value=0.1, max_value=100.0, allow_nan=False)
 @settings(max_examples=40, deadline=None)
 def test_sample_boundary_members_pass_contains(s11, s12, s21, s22, fb, res):
     cfg = channel.from_snr(s11, s12, s21, s22)
-    for t in region.sample_boundary(cfg, feedback=fb, resolution=res):
+    for t in boundary_triplets(cfg, fb, res):
         assert region.contains(cfg, t, feedback=fb, grid_n=res)
 
 
@@ -404,7 +370,7 @@ def test_sample_boundary_leaves_grid_cache_alone():
 
 
 def test_sample_boundary_is_pareto():
-    ts = region.sample_boundary(SYM10, feedback=True, resolution=6)
+    ts = boundary_triplets(SYM10, True, 6)
     arr = np.array([(t.r1, t.r2, t.b) for t in ts])
     for k, p in enumerate(arr):
         ge = (arr >= p).all(axis=1)
@@ -431,5 +397,5 @@ def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
 
 
 def test_no_feedback_boundary_inside_feedback_region():
-    for t in region.sample_boundary(SYM10, feedback=False, resolution=12):
+    for t in boundary_triplets(SYM10, False, 12):
         assert region.contains(SYM10, t, feedback=True, grid_n=12)
