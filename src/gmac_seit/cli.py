@@ -192,6 +192,13 @@ def cmd_simulate(args) -> int:
     sc = mc.SimConfig(params=params, trials=args.trials,
                       target_b=args.target_b, epsilon=args.epsilon)
     report = mc.run(sc)
+    # refused before the file is opened, as _write_table refuses a table
+    for name, value in vars(report).items():
+        values = (value.values() if isinstance(value, dict)
+                  else value if isinstance(value, tuple) else (value,))
+        bad = [v for v in values if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{name} is {bad[0]}; no data file written")
     _write(args.out, report.to_json)
     print(f"p_error_hat={report.p_error_hat:.6g} "
           f"mean_b={report.mean_b:.6g} outage_hat={report.outage_hat:.6g}")

@@ -18,7 +18,7 @@ Sign convention: the posterior error correlation flips sign at every
 update, so transmitter 2 flips the sign of its transmitted error whenever
 the current error correlation is negative; this keeps the correlation of
 (U_1, U_2) pinned at +rho* each step, which both the per-step mutual
-information and the coherent energy term require.  The decoders divide by
+information and the coherent energy term require.  The decoder divides by
 sqrt(1 - rho*): region.solve_rho_star returns 0 or the midpoint of a
 bisection bracket inside [0, 1], so rho* < 1 always holds.
 
@@ -34,9 +34,11 @@ across trials.  Both users' errors are one (2*trials,) vector; x is
 prefilled with the receiver's known carrier term, so each use runs eleven
 ufunc calls with positional out on operands of one shape.  The engine stores
 only the draws, x and y'; y1 lives in a (trials,) scratch for one use.
-After the loop the receiver's mean is reduced from y' in blocks of uses,
-and the tail (q, the energies and the energy rate) runs on blocks of
-trials, with numpy's pairwise sums over contiguous (trials, n) rows.
+After the loop every block is decided from its final normalized errors
+alone, by one log-domain nearest-index rule that holds at any message
+count (_decode), and the tail (q, the energies and the energy rate) runs
+on blocks of trials, with numpy's pairwise sums over contiguous (trials, n)
+rows.
 BlockBatch.trace and BlockBatch.u form y1, y2 and u on request, by the
 loop's own expressions; a trace holds its three init uses as one (3, 6)
 array.  simulate_block is the batch of one.  The tests
@@ -161,72 +163,46 @@ def _coeffs(r: float, s1: float, s2: float):
     return a1, a2, v, d1, d2
 
 
-def decode_batch(params: SchemeParams, mean: np.ndarray,
-                 y_init: np.ndarray) -> np.ndarray:
+def _decode(params: SchemeParams, err: np.ndarray, log2_sigma,
+            messages: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """Nearest-neighbor message decisions of a batch of blocks.
 
-    mean is the (2, trials) final MMSE estimate (Xihat_1, Xihat_2) and
-    y_init the (trials, 3) receiver outputs of the init uses; returns the
-    (2, trials) decoded indices, an exact midpoint going to the smaller
-    one.  Resolves message points down to float64 granularity (fine for
-    any message count up to ~2^40; simulate_batch switches to the
-    equivalent log-domain rule beyond that).
+    err is the (2*trials,) final normalized errors (en_1 of every trial,
+    then en_2), log2_sigma the receiver's final log2 posterior stds and
+    messages the sent (m1, m2) pairs.  Since theta_hat - theta(m) equals
+    (Xi - Xihat)/(h sqrt(1-rho*)), the decoded index is m shifted by
+    round(err/(h sqrt(1-rho*) delta)), an exact midpoint going to the
+    smaller index; computing the shift in log2 avoids the underflow of both
+    err and delta at large n, so the rule holds at any message count.
+    Only the trials whose shift is nonzero are decided in Python ints, as
+    message indices can exceed int64.
     """
     rs = params.rho_star()
     cfg = params.cfg
-    out = np.ones((2, len(y_init)), dtype=np.int64)
-    for i, y_obs in ((1, y_init[:, 1]), (2, y_init[:, 0])):
+    k = len(messages)
+    decided = [list(col) for col in zip(*messages)]
+    for i in (1, 2):
         big = params.messages(i)
         if big == 1:  # nothing to decide; h may be 0
             continue
         h = cfg.h11 if i == 1 else cfg.h12
-        sp = math.sqrt(cfg.power(i))
-        theta_hat = (y_obs + math.sqrt(rs / (1.0 - rs)) * y_init[:, 2]
-                     - mean[i - 1] / math.sqrt(1.0 - rs)) / h
-        xh = (sp - theta_hat) / (2.0 * sp / big) + 0.5  # grid coordinate m-1
-        k = np.floor(xh)
-        k[xh == k] -= 1.0  # exact midpoint: the smaller index wins
-        out[i - 1] += np.clip(k, 0.0, big - 1).astype(np.int64)
-    return out
-
-
-def _decode_exact(params: SchemeParams, err_norm, log2_sigma,
-                  m_true: tuple[int, int]) -> tuple[int, int]:
-    """Nearest-neighbor rule evaluated through the normalized error.
-
-    err_norm and log2_sigma are one block's final normalized errors and
-    log2 posterior stds.  Since theta_hat - theta(m) equals
-    (Xi - Xihat)/(h sqrt(1-rho*)), the decoded index is m shifted by
-    round(err/(h sqrt(1-rho*) delta)); computing the shift in log2 avoids
-    the underflow of both err and delta at large n.
-    """
-    rs = params.rho_star()
-    cfg = params.cfg
-    out = []
-    for i in (1, 2):
-        big = params.messages(i)
-        m = m_true[i - 1]
-        en = err_norm[i - 1]
-        if en == 0.0 or big == 1:
-            out.append(min(m, big))
-            continue
-        h = cfg.h11 if i == 1 else cfg.h12
-        p = cfg.power(i)
-        log2_delta = 1.0 + 0.5 * math.log2(p) - math.log2(big)
-        log2_shift = (math.log2(abs(en)) + log2_sigma[i - 1]
-                      - math.log2(h) - 0.5 * math.log2(1.0 - rs) - log2_delta)
-        if log2_shift < -2.0:
-            out.append(m)
-            continue
-        if log2_shift > 62.0:
-            out.append(1 if en > 0 else big)  # shift beyond the whole grid
-            continue
-        shift = math.copysign(2.0 ** log2_shift, en)
-        # m_hat - 1 = round((m-1) - shift); floor(shift + 0.5) resolves an
-        # exact midpoint toward the smaller decoded index
-        k = math.floor(shift + 0.5)
-        out.append(min(max(m - k, 1), big))
-    return out[0], out[1]
+        log2_delta = 1.0 + 0.5 * math.log2(cfg.power(i)) - math.log2(big)
+        en = err[(i - 1) * k:i * k]
+        # en = 0 gives log2_shift = -inf, so no shift
+        with np.errstate(divide="ignore", over="ignore"):
+            log2_shift = (np.log2(np.abs(en)) + log2_sigma[i - 1]
+                          - math.log2(h) - 0.5 * math.log2(1.0 - rs)
+                          - log2_delta)
+            # m_hat - 1 = round((m-1) - shift); floor(shift + 0.5) resolves
+            # an exact midpoint toward the smaller decoded index
+            step = np.floor(np.copysign(np.exp2(log2_shift), en) + 0.5)
+        ms = decided[i - 1]
+        for j in np.flatnonzero(step).tolist():
+            if log2_shift[j] > 62.0:  # shift beyond the whole grid
+                ms[j] = 1 if en[j] > 0.0 else big
+            else:
+                ms[j] = min(max(ms[j] - int(step[j]), 1), big)
+    return list(zip(*decided))
 
 
 def error_bound(params: SchemeParams) -> tuple[float, float]:
@@ -265,36 +241,13 @@ class CoeffSchedule:
 
     The steps up to the first repeated correlation are stored once, as the
     rows of rows, and step t uses row index[t - 1]; past its prefix the
-    index runs through a cycle.  sign2, a, v and d are the per-step columns
-    read through index (per-user ones of shape (n, 2, 1)); gain depends on
-    the step itself, not only on its row, and is stored per step.
+    index runs through a cycle.
     """
 
     rows: np.ndarray  # (R, 6) sign2, a1, a2, v, d1, d2 of each distinct step
     index: np.ndarray  # (n,) row of step t at t - 1
-    gain: np.ndarray  # (n, 2, 1) mean gains 2**log2_sigma_i * a_i / v
     log2_sigma: tuple[float, float]  # receiver state after step n
     corr: float
-
-    @property
-    def sign2(self) -> np.ndarray:
-        """(n,) sign transmitter 2 puts on its error."""
-        return self.rows[self.index, 0]
-
-    @property
-    def a(self) -> np.ndarray:
-        """(n, 2, 1) innovation coefficients a1, a2."""
-        return self.rows[self.index, 1:3, None]
-
-    @property
-    def v(self) -> np.ndarray:
-        """(n,) innovation variance."""
-        return self.rows[self.index, 3]
-
-    @property
-    def d(self) -> np.ndarray:
-        """(n, 2, 1) renormalizers d1, d2 of the errors."""
-        return self.rows[self.index, 4:6, None]
 
 
 def coeff_schedule(params: SchemeParams) -> CoeffSchedule:
@@ -332,11 +285,9 @@ def coeff_schedule(params: SchemeParams) -> CoeffSchedule:
     rows = np.array(steps)
     log2_sigma = np.add.accumulate(
         np.concatenate((np.zeros((1, 2)), rows[idx, 6:8])), axis=0)
-    sigma = np.array([2.0 ** l for l in log2_sigma[:n].ravel().tolist()])
-    gain = sigma.reshape(n, 2) * rows[idx, 1:3] / rows[idx, 3:4]
     l1, l2 = log2_sigma[n].tolist()
-    return CoeffSchedule(rows=rows[:, :6], index=idx, gain=gain[:, :, None],
-                         log2_sigma=(l1, l2), corr=float(rows[idx[-1], 8]))
+    return CoeffSchedule(rows=rows[:, :6], index=idx, log2_sigma=(l1, l2),
+                         corr=float(rows[idx[-1], 8]))
 
 
 # Bound on simulate_batch's peak memory, in float64s per trial and channel
@@ -344,17 +295,8 @@ def coeff_schedule(params: SchemeParams) -> CoeffSchedule:
 # test checks it with tracemalloc
 PEAK_FLOATS_PER_USE = 9
 
-# the tail works on 1/_TAIL_SPLIT of the trials, and the receiver mean on
-# 1/_TAIL_SPLIT of the uses, at a time
+# the tail works on 1/_TAIL_SPLIT of the trials at a time
 _TAIL_SPLIT = 8
-
-
-def _init_inputs(th: np.ndarray) -> np.ndarray:
-    """(2, trials, 3) inputs of the init uses (0, Th2), (Th1, 0), (0, 0)."""
-    x = np.zeros((2, th.shape[1], 3))
-    x[0, :, 1] = th[0]
-    x[1, :, 0] = th[1]
-    return x
 
 
 @dataclass
@@ -390,8 +332,9 @@ class BlockBatch:
         cfg = self.cfg
         n, k = len(self.x), len(self.draws)
         z, q, w = np.split(self.draws[j], (n + 3, 2 * n + 6))
-        x1, x2 = np.concatenate((_init_inputs(self.th[:, j:j + 1])[:, 0],
-                                 self.x[:, j::k].T), axis=1)
+        init = np.zeros((2, 3))  # init uses (0, Th2), (Th1, 0), (0, 0)
+        init[0, 1], init[1, 0] = self.th[:, j]
+        x1, x2 = np.concatenate((init, self.x[:, j::k].T), axis=1)
         y1 = cfg.h11 * x1 + cfg.h12 * x2 + z
         y2 = cfg.h21 * x1 + cfg.h22 * x2 + q
         return TransmissionTrace(
@@ -448,24 +391,6 @@ def _run_uses(params: SchemeParams, sched: CoeffSchedule, err: np.ndarray,
         div(err, d_t, err)  # en_i <- (en_i - a_i y' / v) / d_i
 
 
-def _receiver_mean(gain: np.ndarray, yp: np.ndarray) -> np.ndarray:
-    """(2, trials) final MMSE estimates Xihat_i = sum_t gain_i,t y'_t.
-
-    gain is CoeffSchedule.gain and yp the (n, trials) y' rows.  A reduction
-    over the outer axis adds the rows in t order, as the step-by-step
-    running sum from +0.0 does; blocks of uses carry that sum in row 0.
-    """
-    n, k = yp.shape
-    step = -(-n // _TAIL_SPLIT)
-    terms = np.empty((step + 1, 2, k))
-    terms[0] = 0.0
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        np.multiply(gain[lo:hi], yp[lo:hi, None, :], out=terms[1:hi - lo + 1])
-        terms[0] = np.add.reduce(terms[:hi - lo + 1], axis=0)
-    return terms[0].copy()
-
-
 def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
                    messages: Sequence[tuple[int, int]],
                    rngs: Sequence[np.random.Generator]) -> BlockBatch:
@@ -479,8 +404,8 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
     and a trial's outputs do not depend on the rest of the batch.  Memory
     stays under PEAK_FLOATS_PER_USE floats per trial and channel use: the
     draws (3), x (2) and y' (1), plus one (2*trials,) d vector per distinct
-    schedule row during the loop, or the blocks of the receiver mean and
-    the tail after it.
+    schedule row during the loop, or the blocks of the tail after it.
+    Each block is decoded from its final normalized errors by _decode.
     """
     cfg = params.cfg
     n = params.n
@@ -515,15 +440,7 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
     yp = np.multiply(nic_gain, w.T, order="C")  # (n, trials)
     _run_uses(params, sched, err, x, z[:, 3:].T, yp)
 
-    if max(params.messages(1), params.messages(2)) > 2**40:
-        m_hat = [_decode_exact(params, (err[j], err[k + j]),
-                               sched.log2_sigma, m_true)
-                 for j, m_true in enumerate(messages)]
-    else:
-        x_init = _init_inputs(th)
-        y_init = cfg.h11 * x_init[0] + cfg.h12 * x_init[1] + z[:, :3]
-        mean = _receiver_mean(sched.gain, yp)
-        m_hat = list(zip(*decode_batch(params, mean, y_init).tolist()))
+    m_hat = _decode(params, err, sched.log2_sigma, messages)
     del yp
 
     # tail, on blocks of trials: q = c z + sqrt(1-c^2) q_ind formed in place

@@ -18,13 +18,14 @@ hashes the run entropy once and the chunk's spawn keys as uint32 vectors,
 giving each trial's SeedSequence state without building the SeedSequence.
 Within a chunk, each trial's noise is one draw, its PAM points are one
 vector op per user, the per-use loop runs on time-major rows across
-trials, and the receiver's mean, the decode, the energy rate and the
-energies are array work after it.
+trials, and the decode, the energy rate and the energies are array work
+after it.
 The per-trial Python work left is constructing each trial's Generator,
-seeding its message Random and drawing its two messages (and
-_decode_exact beyond 2^40 messages), plus the aggregation below, which
-adds in trial order on purpose: np.sum (pairwise) or the builtin sum
-(compensated since Python 3.12) would change the last bits of the report.
+seeding its message Random and drawing its two messages (and the decision
+of a block whose error moves it off its message), plus the aggregation
+below, which adds in trial order on purpose: np.sum (pairwise) or the
+builtin sum (compensated since Python 3.12) would change the last bits of
+the report.
 Every per-trial input to it (the decisions, b_hat and the consumed
 energies) comes from the engine, which the tests check bit for bit against
 tests/_oracles.py::replay_block.

@@ -258,8 +258,8 @@ def replay_block(params, m1, m2, rng):
     rng is drawn from in the engine's order: n+3 receiver noises, n+3
     independent harvester noise components, n carrier symbols.  Messages
     are decided by the nearest PAM point in exact rationals from the
-    float estimate of Theta_i; above 2^40 messages (where the engine
-    switches rule) m_i is shifted by the exact error
+    float estimate of Theta_i; above 2^40 messages (where that estimate
+    no longer resolves the grid) m_i is shifted by the exact error
     (Xi_i - Xihat_i) / (h_1i sqrt(1-rho*) delta_i) instead.  b_hat and the
     energies are numpy sums, pairwise as in the engine.
 

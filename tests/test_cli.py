@@ -265,6 +265,17 @@ def test_exit_codes(tmp_path, capsys):
         assert run_cli(["sumcap", "--snr", "10,10,10,10", "--points", "3",
                         "--bmax", bmax,
                         "--out", str(tmp_path / "sumcap.csv")]) == 2, bmax
+    # a report that overflowed to nan is refused before its file is opened
+    for snr, rate in (("1e308,1e308,1,1", "0,0"),
+                      ("1e308,1e308,1e308,1e308", "0.1,0.1")):
+        capsys.readouterr()
+        assert run_cli(["simulate", "--snr", snr, "--beta", "1,1", "--rate",
+                        rate, "--n", "5", "--trials", "2",
+                        "--out", str(tmp_path / "sim.json")]) == 2, snr
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("invalid arguments: mean_b is nan; "
+                           "no data file written\n")
     assert not (tmp_path / "sim.json").exists()
     assert not (tmp_path / "sumcap.csv").exists()
     # a non-finite --verify-contains row is a usage error, not a verdict

@@ -7,8 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import (FixedDraws, naive_posterior, nearest_index, replay_block,
-                      schedule_loop)
+from _oracles import FixedDraws, naive_posterior, replay_block, schedule_loop
 from gmac_seit import channel, coder, mc, region
 
 SYM10 = channel.from_snr(10, 10, 10, 10)
@@ -52,11 +51,10 @@ def cov2(log2_sigma, corr):
     return np.array([[s1 * s1, off], [off, s2 * s2]])
 
 
-def decode(params, mean, y_init):
-    """decode_batch for one block: final estimate mean, init outputs y_init."""
-    m = coder.decode_batch(params, np.array(mean)[:, None],
-                           np.array([y_init]))
-    return int(m[0, 0]), int(m[1, 0])
+def decode(params, err, log2_sigma, m):
+    """_decode for one block: final normalized errors err, sent pair m."""
+    return coder._decode(params, np.array(err, dtype=float), log2_sigma,
+                         [m])[0]
 
 
 # --- message points -----------------------------------------------------------
@@ -166,8 +164,6 @@ def test_gamma_scale_gives_unit_power():
 def test_receiver_update_uninformative_when_silent():
     params = make_params(n=1, beta1=0.0, beta2=0.0, r1=0.0, r2=0.0)
     sched = coder.coeff_schedule(params)
-    # the estimate moves by gain * y', whatever y' is
-    assert sched.gain.tolist() == [[[0.0], [0.0]]]
     assert sched.log2_sigma == (0.0, 0.0)
     assert sched.corr == params.rho_star()
 
@@ -183,15 +179,32 @@ def test_single_user_covariance_closed_form():
 
 
 def test_posterior_matches_naive_recursion():
-    params = make_params(n=8, cfg=channel.from_snr(10, 3, 1, 1),
+    n = 8
+    params = make_params(n=n, cfg=channel.from_snr(10, 3, 1, 1),
                          beta1=0.9, beta2=0.7)
-    rng = np.random.default_rng(5)
-    yps = rng.standard_normal(8)
+    cfg = params.cfg
+    rs = params.rho_star()
     sched = coder.coeff_schedule(params)
-    got_mean = yps @ sched.gain[:, :, 0]  # Xihat_i = sum_t gain_i,t y'_t
+    # one more use shows the error left after n updates: u_i at use n + 1
+    # is sqrt(beta_i P_i) en_i, transmitter 2 with the sign of corr
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal(n + 4)
+    w = rng.standard_normal(n + 1)
+    tr = coder.simulate_block(dataclasses.replace(params, n=n + 1), 1, 1,
+                              FixedDraws(z, np.zeros(n + 4), w))
+    sign2 = -1.0 if sched.corr < 0.0 else 1.0
+    err = (tr.u1[n] / math.sqrt(params.beta1 * cfg.p1),
+           tr.u2[n] / (sign2 * math.sqrt(params.beta2 * cfg.p2)))
+    xi = (math.sqrt(1 - rs) * z[1] + math.sqrt(rs) * z[2],
+          math.sqrt(1 - rs) * z[0] + math.sqrt(rs) * z[2])
+    nic_gain = (cfg.h11 * math.sqrt((1 - params.beta1) * cfg.p1)
+                + cfg.h12 * math.sqrt((1 - params.beta2) * cfg.p2))
+    yps = tr.y1[:n] - nic_gain * w[:n]
     mean, cov = naive_posterior(params, yps)
-    assert got_mean[0] == pytest.approx(mean[0], abs=1e-9)
-    assert got_mean[1] == pytest.approx(mean[1], abs=1e-9)
+    for i in (0, 1):
+        # Xi_i - Xihat_i = sigma_i en_i
+        assert xi[i] - mean[i] == pytest.approx(
+            2.0 ** sched.log2_sigma[i] * err[i], rel=1e-9)
     got = cov2(sched.log2_sigma, sched.corr)
     assert np.allclose(got, cov, atol=1e-12)
 
@@ -219,19 +232,23 @@ def test_decode_noiseless_run():
     m1, m2 = 2, 3
     _, state = replay_block(params, m1, m2,
                             init_noise_draws(params, (0.0, 0.0, 0.0)))
-    assert decode(params, (0.0, 0.0), state["y_init"]) == (m1, m2)
+    assert state["err"] == (0.0, 0.0)
+    assert decode(params, state["err"], state["log2_sigma"], (m1, m2)) == \
+        (m1, m2)
     # without any noise the engine's estimate is that same 0
     assert block_on_draws(params, (0.0, 0.0, 0.0), m1=m1, m2=m2).m_hat == \
         (m1, m2)
 
 
 def test_decode_with_perfect_estimate():
+    # Xihat = Xi leaves no error, which decodes every message to itself
     params = make_params(n=8, r1=0.4, r2=0.3)
-    m1, m2 = 3, 1
     rng = np.random.default_rng(11)
     noise = rng.standard_normal(3)
-    _, state = replay_block(params, m1, m2, init_noise_draws(params, noise))
-    assert decode(params, state["xi"], state["y_init"]) == (m1, m2)
+    _, state = replay_block(params, 3, 1, init_noise_draws(params, noise))
+    for m in ((3, 1), (1, params.messages(2)),
+              (params.messages(1), 2)):
+        assert decode(params, (0.0, 0.0), state["log2_sigma"], m) == m
 
 
 def test_decode_threshold_condition():
@@ -244,76 +261,93 @@ def test_decode_threshold_condition():
     for i in (1, 2):
         h = SYM10.h11 if i == 1 else SYM10.h12
         delta = 2 * math.sqrt(SYM10.power(i)) / params.messages(i)
-        # estimate off by just under the decision threshold
-        err = 0.49 * h * math.sqrt(1 - rs) * delta
-        mean = list(state["xi"])
-        mean[i - 1] -= err
-        assert decode(params, mean, state["y_init"]) == (m1, m2)
+        sigma = 2.0 ** state["log2_sigma"][i - 1]
+        # theta_hat - theta = sigma en / (h sqrt(1-rho*)); an estimate off by
+        # just under half a grid step keeps m, just over it moves m by one,
+        # toward the smaller index for a positive error
+        for frac, moved in ((0.49, 0), (-0.49, 0), (0.51, -1), (-0.51, 1)):
+            err = [0.0, 0.0]
+            err[i - 1] = frac * h * math.sqrt(1 - rs) * delta / sigma
+            want = [m1, m2]
+            want[i - 1] += moved
+            assert decode(params, err, state["log2_sigma"], (m1, m2)) == \
+                tuple(want), (i, frac)
 
 
-def test_decode_batch_nearest_index_rule():
-    # user 1: 2^39 points with h11 = 1/2, sqrt(p1) = 2, so every grid
-    # coordinate below is exact in float64, midpoints included; user 2
-    # sends nothing (h12 = 0, one message)
-    cfg_a = channel.ChannelConfig(h11=0.5, h12=0.0, h21=0.5, h22=1.0,
-                                  p1=4.0, p2=1.0)
-    pa = make_params(n=39, r1=1.0, r2=0.0, cfg=cfg_a)
-    big = pa.messages(1)
-    assert big == 2**39 and pa.messages(2) == 1
-    xs = [j + 0.5 for j in (0, 1, 2, 12345, 2**38, big - 2)]  # midpoints
-    xs += [-0.5, big - 0.5, -5.25, -1e6, big + 7.25, 1e15]  # clipping
-    xs += [0.0, 3.0, 3.25, 3.75, 2**38 + 0.25, big - 1.0]
-    y_a = np.zeros((len(xs), 3))
-    y_a[:, 1] = [(2.0 - x * 2.0**-37) / 2.0 for x in xs]  # y = h theta
-    y_a[:, 0] = np.linspace(-1e9, 1e9, len(xs))  # user 2's observation
-    y_a[0, 0] = 0.0  # 0/h would be nan
-    # both users just under 2^40 points, gains that round; grid
-    # coordinates stay >= 0.3 from a midpoint, beyond float error
-    cfg_b = channel.ChannelConfig(h11=0.8, h12=0.6, h21=0.6, h22=0.8,
-                                  p1=3.0, p2=7.0)
-    pb = make_params(n=40, r1=1.0 - 3e-11, r2=0.99, cfg=cfg_b)
-    assert all(2**39 < pb.messages(i) < 2**40 for i in (1, 2))
-    rng = np.random.default_rng(5)
-    cases = [(pa, y_a)]
-    y_b = np.zeros((40, 3))
-    for col, i in ((1, 1), (0, 2)):
-        big_i = pb.messages(i)
-        sp, h = math.sqrt(cfg_b.power(i)), (cfg_b.h11, cfg_b.h12)[i - 1]
-        x = (rng.integers(0, big_i, 40)
-             + rng.choice([0.0, 0.2, 0.8], 40)).astype(float)
-        x[:4] = (-3.7, -2e9, big_i + 2.2, 1e14)
-        y_b[:, col] = h * (sp - x * (2.0 * sp / big_i))
-    cases.append((pb, y_b))
-    for params, y_init in cases:
+def decode_reference(m, en, log2_sigma, big):
+    """Exact nearest-index rule at h = 1/2, P = 4, rho* = 0:
+    m - floor(shift + 1/2) clipped to 1..big, with the shift
+    en sigma / (h sqrt(1-rho*) delta) = en 2^log2_sigma big / 2."""
+    shift = Fraction(en) * Fraction(2) ** log2_sigma * big / 2
+    return min(max(m - math.floor(shift + Fraction(1, 2)), 1), big)
+
+
+def test_decode_nearest_index_rule():
+    # h11 = 1/2, P1 = 4 and rho* = 0 (beta2 = 0) make every log2 term but
+    # log2|en| exact; user 2 sends nothing (h12 = 0, one message).  The
+    # shift is en/4 at log2_sigma = -log2(big) - 1, so its log-domain value
+    # is exact for a power-of-two en (the midpoints +-1/2) and otherwise
+    # within a relative 1e-13 of the exact one, under the 1e-9 margins below
+    cfg = channel.ChannelConfig(h11=0.5, h12=0.0, h21=0.5, h22=1.0,
+                                p1=4.0, p2=1.0)
+    cases = [(1, 0.5), (5, 0.5), (5, -0.5)]  # exact midpoints
+    cases += [(7, 0.0), (7, -0.0)]  # en = 0
+    cases += [(9, s + d) for s in (-2.5, -0.5, 0.5, 1.5, 99.5, -12345.5)
+              for d in (-1e-9, 1e-9, -0.3, 0.3)]  # off a half-integer
+    cases += [(50, float(s)) for s in (-7, -1, 1, 3, 40)]  # integer shifts
+    cases += [(2, 5.0), (3, 1e6), (1, 0.75)]  # clipped at 1
+    cases += [(9, 0.24), (9, -0.24), (9, 2.0**-40)]  # log2_shift < -2
+    for n in (39, 100):  # big = 2^39, and 2^100 beyond int64
+        pa = make_params(n=n, r1=1.0, r2=0.0, beta2=0.0, cfg=cfg)
+        big = pa.messages(1)
+        assert big == 2**n and pa.messages(2) == 1 and pa.rho_star() == 0.0
+        log2_sigma = (-n - 1.0, 0.0)
+        near_big = [(big - 2, -5.0), (big, -0.75),
+                    (big - 12, -1e9 - 0.25)]  # clipped at big
+        # log2_shift > 62 goes to the end of the grid, which the clipped
+        # reference matches only while big < 2^62
+        beyond = [(7, 2.0**70), (big - 7, -2.0**70)]
+        ms, shifts = zip(*(cases + near_big + (beyond if n == 39 else [])))
+        en = np.array(shifts) * 4.0
+        err = np.concatenate((en, np.linspace(-1e9, 1e9, len(en))))
+        err[len(en)] = np.nan  # user 2's errors are never read
         with np.errstate(all="raise"):
-            m_hat = coder.decode_batch(params, np.zeros((2, len(y_init))),
-                                       y_init)
-        for i, col in ((1, 1), (2, 0)):
-            big_i = params.messages(i)
-            if big_i == 1:
-                assert m_hat[i - 1].tolist() == [1] * len(y_init)
-                continue
-            h = Fraction((params.cfg.h11, params.cfg.h12)[i - 1])
-            sp = Fraction(math.sqrt(params.cfg.power(i)))
-            want = [nearest_index(Fraction(y) / h, sp, big_i)
-                    for y in y_init[:, col].tolist()]
-            assert m_hat[i - 1].tolist() == want
+            got = coder._decode(pa, err, log2_sigma, [(m, 1) for m in ms])
+        want = [(decode_reference(m, e, -n - 1, big), 1)
+                for m, e in zip(ms, en.tolist())]
+        assert got == want
+    # a shift beyond float range goes to the end of the grid
+    with np.errstate(all="raise"):
+        got = coder._decode(pa, np.array([1.0, -1.0, 0.0, 0.0]),
+                            (2000.0, 0.0), [(7, 1), (7, 1)])
+    assert got == [(1, 1), (2**100, 1)]
+    # the one-message user decodes nothing, with an error or without
+    assert coder._decode(pa, np.array([0.0, 3.0]), log2_sigma, [(1, 1)]) == \
+        [(1, 1)]
 
 
 def test_decode_exact_matches_decoder_path():
-    # replay a block so both decode rules see identical final states
+    # the replay decides each block from its float estimate of Theta_i,
+    # observation by observation; _decode decides the same 30 blocks from
+    # their final normalized errors alone
     params = make_params(n=12, r1=0.6, r2=0.5, seed=17)
+    messages, errs, want = [], [], []
     for trial in range(30):
         rng = np.random.default_rng(trial)
         z = rng.standard_normal(params.n + 3)
         w = rng.standard_normal(params.n)
         m = (1 + trial % params.messages(1),
              1 + (3 * trial) % params.messages(2))
-        _, state = replay_block(
+        fields, state = replay_block(
             params, *m, FixedDraws(z, np.zeros(params.n + 3), w))
-        assert coder._decode_exact(params, state["err"], state["log2_sigma"],
-                                   m) == \
-            decode(params, state["mean"], state["y_init"])
+        assert state["log2_sigma"] == coder.coeff_schedule(params).log2_sigma
+        messages.append(m)
+        errs.append(state["err"])
+        want.append(fields["m_hat"])
+    err = np.array(errs).T.ravel()  # en_1 of every block, then en_2
+    got = coder._decode(params, err, coder.coeff_schedule(params).log2_sigma,
+                        messages)
+    assert got == want
 
 
 def as_bits(field):
@@ -335,8 +369,8 @@ def assert_same_bits(trace, fields, k):
 EQUIVALENCE_CASES = {
     # decode path near the rate limit, so some trials decode wrongly
     "decode": make_params(n=24, r1=1.3, r2=1.3, seed=7),
-    # > 2^40 messages: the log-domain _decode_exact path; asymmetric SNRs
-    # and correlated receiver/harvester noise
+    # > 2^40 messages, where the replay decides in the log domain too;
+    # asymmetric SNRs and correlated receiver/harvester noise
     "exact": make_params(n=60, r1=0.8, r2=0.45, beta1=0.9, beta2=0.7,
                          seed=2, cfg=channel.from_snr(
                              10, 3, 2, 5, noise_correlation=0.4)),
@@ -392,23 +426,6 @@ def test_batched_engine_matches_step_replay(name):
         assert_same_bits(batch.trace(k), replays[k][0], k)
 
 
-def test_receiver_mean_matches_replay():
-    # n = 24 reduces in eight blocks of three uses, each carrying the sum
-    params = EQUIVALENCE_CASES["decode"]
-    n, trials = params.n, 5
-    sched = coder.coeff_schedule(params)
-    batch = coder.simulate_batch(params, sched,
-                                 *mc._chunk_inputs(params, 0, trials))
-    nic1, nic2 = batch.nic[:, 0].tolist()
-    nic_gain = params.cfg.h11 * nic1 + params.cfg.h12 * nic2
-    y1 = np.array([batch.trace(k).y1 for k in range(trials)])
-    yp = (y1 - nic_gain * batch.draws[:, 2 * n + 6:]).T
-    want = [replay_block(params, *seeded_trial(params, k))[1]["mean"]
-            for k in range(trials)]
-    got = coder._receiver_mean(sched.gain, yp)
-    assert got.T.tobytes() == np.array(want).tobytes()
-
-
 SCHEDULE_SETTINGS = [
     (SYM10, 1.0, 1.0),
     (channel.from_snr(10, 3, 2, 5), 0.9, 0.7),
@@ -425,9 +442,8 @@ def test_coeff_schedule_matches_step_loop(n):
                              cfg=cfg)
         rows, log2_sigma, corr = schedule_loop(params)
         sched = coder.coeff_schedule(params)
-        got = np.column_stack([sched.sign2, sched.a[:, :, 0], sched.v,
-                               sched.d[:, :, 0], sched.gain[:, :, 0]])
-        assert got.tobytes() == rows.tobytes(), (beta1, beta2)
+        got = sched.rows[sched.index]
+        assert got.tobytes() == rows[:, :6].tobytes(), (beta1, beta2)
         assert sched.log2_sigma == log2_sigma
         assert sched.corr == corr
 
@@ -452,8 +468,7 @@ def test_coeff_schedule_rows_of_a_short_block(n):
 
 @pytest.mark.parametrize("trials, n", [(250, 100), (10, 2000)])
 def test_simulate_batch_peak_memory(trials, n):
-    # 30-bit messages at n = 100 take decode_batch and the blocked receiver
-    # mean; 600-bit ones at n = 2000 take _decode_exact
+    # 30-bit messages at n = 100, 600-bit ones at n = 2000
     params = make_params(n=n, r1=0.3, r2=0.3)
     sched = coder.coeff_schedule(params)
     messages, rngs = mc._chunk_inputs(params, 0, trials)

@@ -1,4 +1,5 @@
-"""Every public function and class of the package has a caller inside it."""
+"""Every public function and class of the package, and every public method
+and property of a public class, has a caller inside it."""
 import ast
 from pathlib import Path
 
@@ -12,6 +13,12 @@ ALLOWED = {
                    "next to the measured error rate",
     "simulate_block": "batch-of-one seam the oracle tests drive with "
                       "FixedDraws",
+}
+
+# public methods and properties kept without an in-package attribute access
+ALLOWED_MEMBERS = {
+    "RegionBoxFB.dominates": "witness check of a box; exact-in-rho region "
+                             "membership will certify its triplets with it",
 }
 
 
@@ -29,6 +36,19 @@ def public_defs(trees):
                 yield module, node.name
 
 
+def public_members(trees):
+    """(module, "Class.member") of each public method and property of a
+    public top-level class."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")):
+                        yield module, f"{node.name}.{item.name}"
+
+
 def referenced_names(trees):
     names = set()
     for tree in trees.values():
@@ -38,6 +58,11 @@ def referenced_names(trees):
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
+
+
+def referenced_attributes(trees):
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
 
 
 def test_every_public_name_is_used_in_the_package():
@@ -54,3 +79,21 @@ def test_allowlist_names_only_unused_public_defs():
     defined = {name for _, name in public_defs(trees)}
     assert {name for name in ALLOWED if name in defined
             and name not in used} == set(ALLOWED)
+
+
+def test_every_public_member_is_used_in_the_package():
+    trees = parse_package()
+    used = referenced_attributes(trees)
+    unused = sorted(f"{module}:{member}"
+                    for module, member in public_members(trees)
+                    if member.split(".")[1] not in used
+                    and member not in ALLOWED_MEMBERS)
+    assert unused == []
+
+
+def test_member_allowlist_names_only_unused_members():
+    trees = parse_package()
+    used = referenced_attributes(trees)
+    defined = {member for _, member in public_members(trees)}
+    assert {member for member in ALLOWED_MEMBERS if member in defined
+            and member.split(".")[1] not in used} == set(ALLOWED_MEMBERS)
