@@ -188,6 +188,9 @@ def _decode(params: SchemeParams, err: np.ndarray, log2_sigma,
         h = cfg.h11 if i == 1 else cfg.h12
         log2_delta = 1.0 + 0.5 * math.log2(cfg.power(i)) - math.log2(big)
         en = err[(i - 1) * k:i * k]
+        if not (np.isfinite(en).all() and math.isfinite(log2_sigma[i - 1])):
+            raise ValueError(f"transmitter {i}'s coder state overflows "
+                             "float64 at these SNRs")
         # en = 0 gives log2_shift = -inf, so no shift
         with np.errstate(divide="ignore", over="ignore"):
             log2_shift = (np.log2(np.abs(en)) + log2_sigma[i - 1]

@@ -7,6 +7,12 @@ module also carries the sum-rate-optimal correlation rho*, the energy-rate
 correlation bounds xi and rho_min, the piecewise sum-capacity formulas with
 and without feedback, a time-sharing baseline, the feedback energy-gain
 analytics, and the Pareto boundary sample behind the region CSV.
+
+The boundary is a 3-D maxima sweep over two corner rows per grid point:
+the rows are ordered by (-b, -r2, -r1, row index) from one sort of the
+grid by b and cheap fix-ups of the ties, and a block-wise sweep keeps the
+rows that no earlier row dominates, so only the kept rows are ever
+gathered into records.
 """
 from __future__ import annotations
 
@@ -253,6 +259,9 @@ def _refine_coord(score, pts: np.ndarray, c: int, h: float, fx: np.ndarray,
     return np.where(fb >= fx, fb, fx)
 
 
+_SLACK_BLOCK = 8192  # grid points per block of contains' slack scan
+
+
 def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
              grid_n: int = 32) -> bool:
     """One-sided membership certificate for t in the capacity region.
@@ -281,8 +290,21 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
     # multi-start: the global slack argmax can sit in the wrong basin, so
     # refine from the best grid point of every rho-slice at once
     n_rho = grid_n if feedback else 1
-    per_rho = slack(r1b, r2b, rsb, bb).reshape(grid_n * grid_n, n_rho)
-    k = np.argmax(per_rho, axis=0) * n_rho + np.arange(n_rho)
+    # the first argmax of every rho column of the (grid_n^2, n_rho) slack,
+    # a NaN counting as the largest, taken over blocks of rows: grid-sized
+    # temporaries would be fresh allocations from the OS on every call
+    cols = np.arange(n_rho)
+    best = np.full(n_rho, -np.inf)
+    row = np.zeros(n_rho, dtype=np.intp)
+    step = max(1, _SLACK_BLOCK // n_rho)
+    for lo in range(0, grid_n * grid_n, step):
+        part = slice(lo * n_rho, (lo + step) * n_rho)
+        sl = slack(r1b[part], r2b[part], rsb[part], bb[part])
+        a = np.argmax(sl.reshape(-1, n_rho), axis=0)
+        v = sl[a * n_rho + cols]
+        up = (v > best) | (np.isnan(v) & ~np.isnan(best))
+        best[up], row[up] = v[up], a[up] + lo
+    k = row * n_rho + cols
     pts = np.stack([b1g[k], b2g[k], rhog[k]])
     h = 1.0 / (grid_n - 1)
     fx = slack(*_boxes(cfg, *pts))
@@ -407,37 +429,42 @@ def gain_ratio_limit_high_snr(eta: float) -> float:
 # boundary sampling and serialization
 
 
-_PARETO_BLOCK = 1024  # rows per step of the sweep in _pareto_filter
+_PARETO_BLOCK = 1024  # rows per block of the sweep in _pareto_filter
+_PARETO_LIVE = 128  # most rows a block compares pairwise
 
 
-def _pareto_filter(rows: np.ndarray) -> list[BoundarySample]:
-    """Keep triplets maximal in (r1, r2, b); rows are (beta1,beta2,rho,r1,r2,b).
+def _pareto_filter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Positions of the rows maximal in (r1, r2, b), given the r1 (xs) and
+    r2 (ys) of rows already ordered by (-b, -r2, -r1), ties in row index.
 
-    Rows are ordered by (-b, -r2, -r1), ties in input order, and a row is
-    kept iff no row before it in that order weakly dominates it in
+    A row is kept iff no row before it in that order weakly dominates it in
     (r1, r2, b).  Every row before a given one has b at least as large, so
     the sweep only compares (r1, r2): against the staircase of rows kept in
-    earlier blocks, then against the surviving rows of its own block.
+    earlier blocks, then pairwise among the surviving rows of its own
+    block.  A block ends early at its _PARETO_LIVE-th survivor, so the
+    pairwise test stays small however many rows the staircase lets through.
     """
-    r1, r2, b = rows[:, 3], rows[:, 4], rows[:, 5]
-    order = np.lexsort((-r1, -r2, -b))
-    xs, ys = r1[order], r2[order]
-    keep = np.zeros(len(order), dtype=bool)
+    keep = np.zeros(len(xs), dtype=bool)
     # maxima of the kept (r1, r2): fx ascending, fy strictly decreasing,
     # with a -inf sentinel past the last step
     fx, fy = np.empty(0), np.array([-np.inf])
-    for start in range(0, len(order), _PARETO_BLOCK):
+    start = 0
+    while start < len(xs):
         x = xs[start:start + _PARETO_BLOCK]
         y = ys[start:start + _PARETO_BLOCK]
         # the first step at or right of x is the highest one there
         live = np.flatnonzero(fy[np.searchsorted(fx, x, "left")] < y)
+        if len(live) > _PARETO_LIVE:
+            x, y = x[:live[_PARETO_LIVE]], y[:live[_PARETO_LIVE]]
+            live = live[:_PARETO_LIVE]
         lx, ly = x[live], y[live]
         # dominated[j, k]: live row j precedes and weakly dominates row k
         dominated = np.triu((lx[:, None] >= lx) & (ly[:, None] >= ly), 1)
         new = live[~dominated.any(axis=0)]
+        keep[start + new] = True
+        start += len(x)
         if not len(new):
             continue
-        keep[start + new] = True
         # new staircase: scan old steps and new rows by x descending and
         # keep each point higher than every point before it
         mx = np.concatenate([fx, x[new]])
@@ -448,12 +475,20 @@ def _pareto_filter(rows: np.ndarray) -> list[BoundarySample]:
         step[1:] = my[1:] > np.maximum.accumulate(my)[:-1]
         fx = mx[step][::-1]
         fy = np.append(my[step][::-1], -np.inf)
-    return [BoundarySample(*row) for row in rows[order[keep]].tolist()]
+    return np.flatnonzero(keep)
 
 
 def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
                             resolution: int = 32) -> list[BoundarySample]:
-    """Pareto-dominant corner triplets of the region boxes on a uniform grid."""
+    """Pareto-dominant corner triplets of the region boxes on a uniform grid.
+
+    Each grid point k, in (beta1, beta2, rho) order, has two corner rows,
+    2k and 2k + 1.  The records are the rows _pareto_filter keeps, in the
+    order (-b, -r2, -r1, row index).  That order is built in three passes,
+    each stable: grid points by -b, the rows of equal b by -r2 (cheap, as
+    the rows come nearly sorted), and, only inside runs of equal (b, r2)
+    whose r1 is out of order, those rows by -r1.
+    """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -461,16 +496,46 @@ def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
                                                              resolution)
     if not all(np.isfinite(a).all() for a in (r1b, r2b, rsb, bb)):
         raise ValueError("region bounds overflow float64 at these SNRs")
-    # the two sum-rate corners of each box's pentagon, each paired with
-    # b_max; the zero-rate corners (r1_max, 0) and (0, r2_max) are weakly
-    # dominated by them since c1, c2 >= 0.  Row 2*k + corner belongs to
-    # grid point k, so row order is (beta1, beta2, rho) order.
+    # the two sum-rate corners of each box's pentagon, (r1_max, c1) and
+    # (c2, r2_max), each paired with b_max; the zero-rate corners
+    # (r1_max, 0) and (0, r2_max) are weakly dominated by them since
+    # c1, c2 >= 0
     c1 = np.clip(rsb - r1b, 0.0, r2b)
     c2 = np.clip(rsb - r2b, 0.0, r1b)
-    ops = np.column_stack([b1g, b2g, rhog])
-    rows = np.stack([np.column_stack([ops, r1b, c1, bb]),
-                     np.column_stack([ops, c2, r2b, bb])], axis=1)
-    return _pareto_filter(rows.reshape(-1, 6))
+    del rsb
+    # rows 2j and 2j + 1 of the b-sorted layout are the corners of point
+    # pts[j], so they stand in (-b, row index) order
+    pts = np.argsort(-bb, kind="stable")
+    nb = -bb[pts]
+    x = np.empty(2 * len(pts))
+    y = np.empty_like(x)
+    x[0::2], x[1::2] = r1b[pts], c2[pts]
+    y[0::2], y[1::2] = c1[pts], r2b[pts]
+    # complex keys sort by the real part, then the imaginary part
+    key = np.empty(len(x), dtype=complex)
+    key.real[0::2] = key.real[1::2] = nb
+    key.imag = -y
+    order = np.argsort(key, kind="stable")
+    del key
+    xs, ys = x[order], y[order]
+    del x, y
+    # rows of equal (b, r2) still stand in row-index order; the runs of
+    # them where r1 rises somewhere get a stable sort by -r1
+    nbs = nb[order >> 1]
+    tie = (ys[1:] == ys[:-1]) & (nbs[1:] == nbs[:-1])
+    bad = np.flatnonzero(tie & (xs[1:] > xs[:-1]))
+    if len(bad):
+        run = np.concatenate([[0], np.cumsum(~tie)])
+        idx = np.flatnonzero(np.isin(run, run[bad]))
+        key = np.empty(len(idx), dtype=complex)
+        key.real, key.imag = run[idx], -xs[idx]
+        s = idx[np.argsort(key, kind="stable")]
+        order[idx], xs[idx] = order[s], xs[s]
+    kept = _pareto_filter(xs, ys)
+    pt = pts[order[kept] >> 1]
+    rows = np.column_stack([b1g[pt], b2g[pt], rhog[pt], xs[kept], ys[kept],
+                            bb[pt]])
+    return [BoundarySample(*row) for row in rows.tolist()]
 
 
 CSV_HEADER = "beta1,beta2,rho,r1,r2,b"

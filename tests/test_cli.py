@@ -276,6 +276,15 @@ def test_exit_codes(tmp_path, capsys):
         assert out.out == ""
         assert out.err == ("invalid arguments: mean_b is nan; "
                            "no data file written\n")
+    # with five messages each, the overflowed coder is refused at decoding
+    capsys.readouterr()
+    assert run_cli(["simulate", "--snr", "1e308,1e308,1,1", "--beta", "1,1",
+                    "--rate", "0.5,0.5", "--n", "5", "--trials", "2",
+                    "--out", str(tmp_path / "sim.json")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("invalid arguments: transmitter 1's coder state "
+                       "overflows float64 at these SNRs\n")
     assert not (tmp_path / "sim.json").exists()
     assert not (tmp_path / "sumcap.csv").exists()
     # a non-finite --verify-contains row is a usage error, not a verdict

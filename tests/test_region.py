@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -227,6 +228,24 @@ def test_contains_verdicts_golden_digest():
         "adb7bd7754389cf2a9dba0138d21609c1a34eb4adb4c93054a7cebe6d4ff554b")
 
 
+def test_contains_verdicts_do_not_depend_on_slack_blocks(monkeypatch):
+    # the refinement starts are a block-wise argmax over the grid; at grid
+    # 24 the default takes two blocks, and one row per block must pick the
+    # same starts
+    cfg = channel.from_snr(10, 3, 2, 5)
+    ts = [region.RateTriplet(t.r1 * s, t.r2 * s, t.b * s)
+          for t in boundary_triplets(cfg, True, 12)[::32]
+          for s in (1.001, 0.999)]
+
+    def verdicts():
+        return [region.contains(cfg, t, feedback=fb, grid_n=24)
+                for t in ts for fb in (True, False)]
+
+    want = verdicts()
+    monkeypatch.setattr(region, "_SLACK_BLOCK", 1)
+    assert verdicts() == want
+
+
 # --- capacities in b ----------------------------------------------------------
 
 def test_sum_capacity_fb_values():
@@ -384,6 +403,9 @@ def test_sample_boundary_is_pareto():
        st.integers(min_value=2, max_value=7))
 @example(10, 10, 10, 10, True, 7)  # symmetric: many tied triplets
 @example(10, 3, 2, 5, False, 7)
+@example(10, 10, 0, 10, True, 7)  # s21 = 0: every b is equal
+@example(10, 10, 0, 10, False, 7)
+@example(10, 10, 0, 0, True, 5)
 @settings(max_examples=60, deadline=None)
 def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
                                                     res):
@@ -394,6 +416,33 @@ def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
     # same rows in the same order, bit for bit
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [SYM10, channel.from_snr(10, 10, 0, 10)])
+def test_sample_boundary_memory_per_grid_point(cfg):
+    # no (2*res^3, 6) row matrix, and no pairwise mask that grows with a
+    # run of equal b (every b is equal at s21 = 0)
+    res = 24
+    region.sample_boundary_records(cfg, True, 4)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        region.sample_boundary_records(cfg, True, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * res**3
+
+
+@given(snr_range, snr_range, snr_range, snr_range, st.booleans(),
+       st.integers(min_value=2, max_value=12))
+@settings(max_examples=40, deadline=None)
+def test_sample_boundary_below_sum_capacity(s11, s12, s21, s22, fb, res):
+    # two independent closed forms: every boundary row lies under the sum
+    # capacity at its own energy rate
+    cfg = channel.from_snr(s11, s12, s21, s22)
+    c_sum = region.sum_capacity_fb if fb else region.sum_capacity_nf
+    for t in boundary_triplets(cfg, fb, res):
+        assert t.r1 + t.r2 <= c_sum(cfg, t.b) * (1.0 + 1e-12)
 
 
 def test_no_feedback_boundary_inside_feedback_region():
