@@ -16,7 +16,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 
@@ -69,12 +68,11 @@ def _write(path, emit) -> None:
             fh.close()
 
 
-def _write_table(path, fmt: str, names: tuple[str, ...], rows) -> None:
+def _write_table(path, fmt: str, names: tuple[str, ...], rows: list) -> None:
     """Write tuples of floats as CSV (17 significant digits) or a JSON list.
 
     A table holding an inf or nan is refused before the file is opened.
     """
-    rows = list(rows)
     if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
         row = next(r for r in rows if not all(map(math.isfinite, r)))
         name, val = next((k, v) for k, v in zip(names, row)
@@ -86,8 +84,7 @@ def _write_table(path, fmt: str, names: tuple[str, ...], rows) -> None:
         if fmt == "csv":
             fh.write(",".join(names) + "\n")
             line = ",".join(["%.17g"] * len(names)) + "\n"
-            for row in rows:
-                fh.write(line % row)
+            fh.write("".join(map(line.__mod__, rows)))
         else:
             json.dump([dict(zip(names, row)) for row in rows], fh, indent=1)
             fh.write("\n")
@@ -103,9 +100,7 @@ def cmd_region(args) -> int:
             triplets = [rec.triplet for rec in region.records_from_csv(fh)]
     records = region.sample_boundary_records(cfg, feedback=args.feedback,
                                              resolution=args.res)
-    names = tuple(region.CSV_HEADER.split(","))
-    _write_table(args.out, args.format, names,
-                 map(operator.attrgetter(*names), records))
+    _write_table(args.out, args.format, region.BoundarySample._fields, records)
     if args.verify_contains is not None:
         bad = sum(not region.contains(cfg, t, feedback=args.feedback,
                                       grid_n=args.res) for t in triplets)
@@ -294,7 +289,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

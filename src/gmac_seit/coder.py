@@ -274,6 +274,8 @@ def coeff_schedule(params: SchemeParams) -> CoeffSchedule:
     while len(steps) < n and r.hex() not in seen:
         seen[r.hex()] = len(steps)
         a1, a2, v, d1, d2 = _coeffs(r, s1, s2)
+        if d1 * d2 == 0.0:
+            raise ValueError("the coder's d1*d2 underflows to 0 at these SNRs")
         r_next = (r - a1 * a2 / v) / (d1 * d2)
         steps.append((-1.0 if r < 0.0 else 1.0, a1, a2, v, d1, d2,
                       0.5 * math.log2(d1 * d1), 0.5 * math.log2(d2 * d2),

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,9 +84,8 @@ class RegionBoxFB:
                 and t.r1 + t.r2 <= self.rsum_max and t.b <= self.b_max)
 
 
-@dataclass(frozen=True)
-class BoundarySample:
-    """A Pareto-dominant rate triplet together with the operating point behind it."""
+class BoundarySample(NamedTuple):
+    """One region CSV row: a Pareto-dominant rate triplet and its operating point."""
 
     beta1: float
     beta2: float
@@ -431,6 +431,7 @@ def gain_ratio_limit_high_snr(eta: float) -> float:
 
 _PARETO_BLOCK = 1024  # rows per block of the sweep in _pareto_filter
 _PARETO_LIVE = 128  # most rows a block compares pairwise
+_PARETO_UPPER = np.triu(np.ones((_PARETO_LIVE, _PARETO_LIVE), bool), 1)
 
 
 def _pareto_filter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -459,7 +460,8 @@ def _pareto_filter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
             live = live[:_PARETO_LIVE]
         lx, ly = x[live], y[live]
         # dominated[j, k]: live row j precedes and weakly dominates row k
-        dominated = np.triu((lx[:, None] >= lx) & (ly[:, None] >= ly), 1)
+        dominated = ((lx[:, None] >= lx) & (ly[:, None] >= ly)
+                     & _PARETO_UPPER[:len(live), :len(live)])
         new = live[~dominated.any(axis=0)]
         keep[start + new] = True
         start += len(x)
@@ -526,7 +528,8 @@ def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
     bad = np.flatnonzero(tie & (xs[1:] > xs[:-1]))
     if len(bad):
         run = np.concatenate([[0], np.cumsum(~tie)])
-        idx = np.flatnonzero(np.isin(run, run[bad]))
+        rises = np.bincount(run[bad], minlength=run[-1] + 1) > 0  # by run id
+        idx = np.flatnonzero(rises[run])
         key = np.empty(len(idx), dtype=complex)
         key.real, key.imag = run[idx], -xs[idx]
         s = idx[np.argsort(key, kind="stable")]
@@ -535,7 +538,7 @@ def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
     pt = pts[order[kept] >> 1]
     rows = np.column_stack([b1g[pt], b2g[pt], rhog[pt], xs[kept], ys[kept],
                             bb[pt]])
-    return [BoundarySample(*row) for row in rows.tolist()]
+    return list(map(BoundarySample._make, rows.tolist()))
 
 
 CSV_HEADER = "beta1,beta2,rho,r1,r2,b"

@@ -51,6 +51,12 @@ REGION_GOLDEN = {
     "asym_nf_res64": (
         ["--snr", "10,3,2,5", "--no-feedback", "--res", "64"],
         "6fcb9ce9164bf14bd047e4fd11584d027760ec24b5a869a88307243e5595d679"),
+    # every b ties at s21 = 0: the whole grid is one run of equal b, so the
+    # r1 tie fix-up and the sweep's block cut both shape this file; recorded
+    # with the blocked sweep, before the records became tuples
+    "s21zero_fb_res48": (
+        ["--snr", "10,10,0,10", "--res", "48"],
+        "3586e8abea3d212b988199c9b0e827a944f841eeccf3eaa0e5eada278aecbede"),
 }
 
 
@@ -287,6 +293,18 @@ def test_exit_codes(tmp_path, capsys):
                        "overflows float64 at these SNRs\n")
     assert not (tmp_path / "sim.json").exists()
     assert not (tmp_path / "sumcap.csv").exists()
+    # from SNR ~1e16 the coder's step factors d1, d2 cancel to 0; the
+    # schedule refuses them instead of dividing by their product
+    for snr in ("1e150,1e150,1,1", "1e17,1e17,1,1"):
+        capsys.readouterr()
+        assert run_cli(["simulate", "--snr", snr, "--beta", "1,1",
+                        "--rate-frac", "0.5", "--n", "10", "--trials", "2",
+                        "--out", str(tmp_path / "sim.json")]) == 2, snr
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("invalid arguments: ")
+        assert "underflows" in out.err and out.err.count("\n") == 1
+        assert not (tmp_path / "sim.json").exists()
     # a non-finite --verify-contains row is a usage error, not a verdict
     for bad in ("inf", "nan"):
         rows = tmp_path / f"{bad}.csv"

@@ -411,11 +411,67 @@ def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
                                                     res):
     cfg = channel.from_snr(s11, s12, s21, s22)
     recs = region.sample_boundary_records(cfg, feedback=fb, resolution=res)
-    got = np.array([astuple(rec) for rec in recs])
+    got = np.array([tuple(rec) for rec in recs])
     want = pareto_corners(region._grid_boxes(cfg, fb, res))
     # same rows in the same order, bit for bit
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_boundary_records_are_csv_rows():
+    # cmd_region writes the records as they are, so each must be a tuple of
+    # the CSV columns in header order
+    names = tuple(region.CSV_HEADER.split(","))
+    assert region.BoundarySample._fields == names
+    recs = region.sample_boundary_records(ASYM, feedback=True, resolution=5)
+    assert recs
+    for rec in recs:
+        assert isinstance(rec, tuple) and len(rec) == len(names)
+        assert tuple(rec) == tuple(getattr(rec, name) for name in names)
+        assert rec.triplet == region.RateTriplet(rec.r1, rec.r2, rec.b)
+
+
+def pareto_keep_brute_force(xs, ys):
+    """Rows that no earlier row weakly dominates in (x, y), one at a time."""
+    return np.array([k for k in range(len(xs))
+                     if not ((xs[:k] >= xs[k]) & (ys[:k] >= ys[k])).any()],
+                    dtype=np.intp)
+
+
+def _pareto_cases():
+    live, block = region._PARETO_LIVE, region._PARETO_BLOCK
+    rng = np.random.default_rng(3)
+    up = np.arange(2 * block + 37, dtype=float)
+    # every row survives, so every block ends at its live-th survivor
+    yield pytest.param(up, up[::-1].copy(), id="antichain")
+    yield pytest.param(up[::-1].copy(), up, id="antichain_reversed")
+    yield pytest.param(np.full(block + 5, 0.5), np.full(block + 5, 0.5),
+                       id="all_equal")
+    # the first block ends at its live-th row; the second holds exactly
+    # live (then live + 1) rows right of that staircase, shuffled among
+    # copies of the staircase's own rows
+    i = np.arange(live, dtype=float)
+    for k in (live, live + 1):
+        j = np.arange(k, dtype=float)
+        dead = rng.integers(0, live, block - k)
+        p = rng.permutation(block)
+        yield pytest.param(
+            np.concatenate([i, np.concatenate([1000.0 + j, i[dead]])[p]]),
+            np.concatenate([live - 1.0 - i,
+                            np.concatenate([-j, live - 1.0 - i[dead]])[p]]),
+            id=f"block_of_{k}_live")
+    # many ties on a coarse grid, staircase carried over several blocks
+    for seed in range(3):
+        r = np.random.default_rng(seed)
+        yield pytest.param(r.integers(0, 40, 3 * block).astype(float),
+                           r.integers(0, 40, 3 * block).astype(float),
+                           id=f"coarse_{seed}")
+
+
+@pytest.mark.parametrize("xs,ys", _pareto_cases())
+def test_pareto_filter_matches_brute_force(xs, ys):
+    got = region._pareto_filter(xs, ys)
+    assert got.tolist() == pareto_keep_brute_force(xs, ys).tolist()
 
 
 @pytest.mark.parametrize("cfg", [SYM10, channel.from_snr(10, 10, 0, 10)])
