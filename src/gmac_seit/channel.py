@@ -65,11 +65,6 @@ class ChannelConfig:
     def snr22(self) -> float:
         return self.h22**2 * self.p2
 
-    def snr(self, j: int, i: int) -> float:
-        if (j, i) not in {(1, 1), (1, 2), (2, 1), (2, 2)}:
-            raise ValueError("indices must be in {1,2}")
-        return getattr(self, f"h{j}{i}") ** 2 * (self.p1 if i == 1 else self.p2)
-
     def power(self, i: int) -> float:
         return self.p1 if i == 1 else self.p2
 

@@ -53,19 +53,13 @@ def _pair(text: str):
     return _parse_tuple(text, 2, "pair flag")
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii"), True
-
-
 def _write(path, emit) -> None:
-    fh, close = _open_out(path)
-    try:
+    """emit(fh) to stdout for None or "-", else to the file at path."""
+    if path is None or path == "-":
+        emit(sys.stdout)
+        return
+    with open(path, "w", encoding="ascii") as fh:
         emit(fh)
-    finally:
-        if close:
-            fh.close()
 
 
 def _write_table(path, fmt: str, names: tuple[str, ...], rows: list) -> None:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig
-from .region import OperatingPoint, region_box_fb, solve_rho_star
+from .region import solve_rho_star
 
 
 def message_count(n: int, rate: float) -> int:
@@ -90,7 +90,7 @@ class SchemeParams:
         if self.seed < 0:
             raise ValueError("seed must be an unsigned integer")
         for i, rate in ((1, self.r1), (2, self.r2)):
-            if rate > 0.0 and self.cfg.snr(1, i) <= 0.0:
+            if rate > 0.0 and (self.cfg.snr11, self.cfg.snr12)[i - 1] <= 0.0:
                 raise ValueError(f"transmitter {i} has zero SNR at the "
                                  "receiver, so its rate must be 0")
 
@@ -214,7 +214,7 @@ def error_bound(params: SchemeParams) -> tuple[float, float]:
     cfg = params.cfg
     out = []
     for i in (1, 2):
-        s = cfg.snr(1, i)
+        s = (cfg.snr11, cfg.snr12)[i - 1]
         if params.beta(i) <= 0.0:
             raise ValueError("error_bound requires beta_i > 0")
         rate = params.r1 if i == 1 else params.r2
@@ -230,12 +230,6 @@ def error_bound(params: SchemeParams) -> tuple[float, float]:
         arg = 2.0 ** log2_arg
         out.append(math.erfc(arg / math.sqrt(2.0)))  # 2*Q(arg)
     return out[0], out[1]
-
-
-def expected_energy_rate(params: SchemeParams, rho: float) -> float:
-    """Mean empirical energy rate of the scheme at IC correlation rho."""
-    op = OperatingPoint(params.beta1, params.beta2, rho)
-    return region_box_fb(params.cfg, op).b_max
 
 
 @dataclass(frozen=True)

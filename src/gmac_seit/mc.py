@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coder import (PEAK_FLOATS_PER_USE, SchemeParams, coeff_schedule,
-                    expected_energy_rate, simulate_batch)
-from .region import _check_feasible_b
+                    simulate_batch)
+from .region import _boxes, _check_feasible_b
 
 # engine memory per chunk: the ~3 MB a budget of 2^15 floats per
 # trials x (n + 3) array peaked at when the engine held 11.4 floats per use
@@ -81,8 +81,9 @@ class SimConfig:
     def effective_epsilon(self) -> float:
         if self.epsilon is not None:
             return self.epsilon
+        # the scheme's mean energy rate is the b_max of its box at rho*
         p = self.params
-        return 0.01 * expected_energy_rate(p, p.rho_star())
+        return 0.01 * float(_boxes(p.cfg, p.beta1, p.beta2, p.rho_star())[3])
 
 
 @dataclass

@@ -1,12 +1,13 @@
 """Closed-form information-energy capacity-region engine.
 
 Everything here is a pure function of a ChannelConfig.  Rate bounds for a
-fixed power split (beta1, beta2) and input correlation rho form a box
-(RegionBoxFB); the capacity region is the union of those boxes.  The
-module also carries the sum-rate-optimal correlation rho*, the energy-rate
-correlation bounds xi and rho_min, the piecewise sum-capacity formulas with
-and without feedback, a time-sharing baseline, the feedback energy-gain
-analytics, and the Pareto boundary sample behind the region CSV.
+fixed power split (beta1, beta2) and input correlation rho form a box,
+written once as _boxes over arrays or floats; the capacity region is the
+union of those boxes.  The module also carries the sum-rate-optimal
+correlation rho*, the energy-rate correlation bounds xi and rho_min, the
+piecewise sum-capacity formulas with and without feedback, a time-sharing
+baseline, the feedback energy-gain analytics, and the Pareto boundary
+sample behind the region CSV.
 
 The boundary is a 3-D maxima sweep over two corner rows per grid point:
 the rows are ordered by (-b, -r2, -r1, row index) from one sort of the
@@ -43,21 +44,6 @@ class DegenerateSnrError(ValueError):
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    """Power splits and input correlation parameterizing one rate box."""
-
-    beta1: float
-    beta2: float
-    rho: float
-
-    def __post_init__(self):
-        for name in ("beta1", "beta2", "rho"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0,1]")
-
-
-@dataclass(frozen=True)
 class RateTriplet:
     """Two information rates (bits/use) and one energy rate."""
 
@@ -68,20 +54,6 @@ class RateTriplet:
     def __post_init__(self):
         if not all(0.0 <= v < math.inf for v in (self.r1, self.r2, self.b)):
             raise ValueError("rates must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class RegionBoxFB:
-    """Right-hand sides of the four region constraints at one operating point."""
-
-    r1_max: float
-    r2_max: float
-    rsum_max: float
-    b_max: float
-
-    def dominates(self, t: RateTriplet) -> bool:
-        return (t.r1 <= self.r1_max and t.r2 <= self.r2_max
-                and t.r1 + t.r2 <= self.rsum_max and t.b <= self.b_max)
 
 
 class BoundarySample(NamedTuple):
@@ -188,8 +160,9 @@ def rho_min(cfg: ChannelConfig, beta1: float, beta2: float, b: float) -> float:
 
 
 def _boxes(cfg: ChannelConfig, b1, b2, rho):
-    """Region-box bounds (r1_max, r2_max, rsum_max, b_max) at arrays of
-    operating points: the one place the box closed form is written."""
+    """Region-box bounds (r1_max, r2_max, rsum_max, b_max) at operating
+    points given as arrays or floats, bit for bit alike: the one place the
+    box closed form is written."""
     s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
     a, c = b1 * s11, b2 * s12  # same association as written out in full
     om = 1.0 - rho * rho
@@ -199,12 +172,6 @@ def _boxes(cfg: ChannelConfig, b1, b2, rho):
     bmax = (1.0 + s21 + s22 + 2.0 * (rho * np.sqrt(b1 * s21 * b2 * s22))
             + 2.0 * np.sqrt((1.0 - b1) * s21 * (1.0 - b2) * s22))
     return r1, r2, rsum, bmax
-
-
-def region_box_fb(cfg: ChannelConfig, op: OperatingPoint) -> RegionBoxFB:
-    bounds = _boxes(cfg, np.array([op.beta1]), np.array([op.beta2]),
-                    np.array([op.rho]))
-    return RegionBoxFB(*(float(v[0]) for v in bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import resource
 import shlex
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmac_seit import channel, cli, coder, mc, region
 
@@ -397,6 +402,126 @@ def test_region_grid_too_large_rejected(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
+# --- the argv grammar's exit-code contract ---------------------------------
+# Run time caps: --res <= 5, --n <= 30, --trials <= 3 and --points <= 5 are
+# always given, so no drawn argv runs at the larger defaults.
+
+
+def mostly(valid, invalid):
+    """Draws from invalid about one time in sixteen, else from valid, so
+    that an argv of many flags still reaches the paths past its checks."""
+    return st.integers(0, 15).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+def texts(*values):
+    return st.sampled_from(values)
+
+
+def flag(name, values, optional=True):
+    """[name=value] for a drawn value, or, if optional, also nothing."""
+    given_flag = values.map(lambda v: [f"{name}={v}"])
+    return mostly(given_flag, st.just([])) if optional else given_flag
+
+
+def joined(*parts):
+    """A strategy for the concatenation of the argv pieces parts draw."""
+    return st.tuples(*parts).map(lambda ps: [w for p in ps for w in p])
+
+
+def pairs(values):
+    return st.tuples(values, values).map(",".join)
+
+
+SNR_TEXT = mostly(st.integers(-300, 308).map("1e{}".format),
+                  texts("0", "nan", "inf", "-1"))
+# a malformed quadruple ends in argparse's SystemExit(2)
+SNR_FLAG = flag("--snr", mostly(st.lists(SNR_TEXT, min_size=4, max_size=4)
+                                .map(",".join), texts("1,1,1", "1,1,1,x")),
+                optional=False)
+FORMAT = flag("--format", texts("csv", "json"))
+POINTS = flag("--points", mostly(st.integers(0, 5), st.just(-1)),
+              optional=False)
+# {dir} stands for the example's directory; missing.csv is never written
+VERIFY = flag("--verify-contains",
+              texts("{dir}/inside.csv", "{dir}/outside.csv",
+                    "{dir}/nonfinite.csv", "{dir}/missing.csv"))
+RATES = mostly(
+    st.one_of(flag("--rate", pairs(mostly(texts("0", "0.1", "1", "5"),
+                                          texts("1e300", "inf", "nan",
+                                                "-1"))), optional=False),
+              flag("--rate-frac", mostly(texts("0", "0.5", "0.9", "1", "2"),
+                                         texts("inf", "nan", "-1")),
+                   optional=False)),
+    texts([], ["--rate=0.1,0.1", "--rate-frac=0.5"]))
+ARGV = st.one_of(
+    joined(st.just(["region"]), SNR_FLAG,
+           flag("--res", mostly(st.integers(2, 5), st.integers(-1, 1)),
+                optional=False),
+           texts([], ["--feedback"], ["--no-feedback"]), FORMAT, VERIFY),
+    joined(st.just(["sumcap"]), SNR_FLAG, POINTS,
+           flag("--bmax", mostly(texts("0", "1", "41", "1e308"),
+                                 texts("nan", "inf", "-1"))),
+           texts([], ["--timeshare"]), FORMAT),
+    joined(st.just(["ratio"]), POINTS, flag("--snr-min", SNR_TEXT),
+           flag("--snr-max", SNR_TEXT), flag("--asym", SNR_TEXT), FORMAT),
+    joined(st.just(["simulate"]), SNR_FLAG,
+           flag("--beta", pairs(mostly(texts("0", "0.5", "1"),
+                                       texts("-1", "2", "nan"))),
+                optional=False),
+           RATES,
+           flag("--n", mostly(st.integers(1, 30), st.integers(-1, 0)),
+                optional=False),
+           flag("--trials", mostly(st.integers(1, 3), st.integers(-1, 0)),
+                optional=False),
+           flag("--seed", mostly(st.integers(0, 3), st.just(-1))),
+           flag("--target-b", mostly(texts("0", "1", "30", "50", "1e308"),
+                                     texts("nan", "inf", "-1"))),
+           flag("--epsilon", mostly(texts("0.1", "1"),
+                                    texts("0", "-1", "nan", "inf")))),
+)
+
+
+def data_numbers(path):
+    """Every number in a CSV (below its header) or JSON data file."""
+    text = path.read_text()
+    if text.startswith(("[", "{")):
+        def walk(v):
+            if isinstance(v, dict):
+                yield from (x for w in v.values() for x in walk(w))
+            elif isinstance(v, list):
+                yield from (x for w in v for x in walk(w))
+            else:
+                yield v
+        return list(walk(json.loads(text)))
+    return [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
+
+
+@given(ARGV, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_argv_grammar_exit_contract(argv, bad_out_dir):
+    # every argv ends in a documented exit code, argparse's SystemExit(2)
+    # included, never in another exception; a data file is left only on
+    # exit 0 or 1, and it holds finite numbers alone
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, row in (("inside", "0,0,0,0,0,1"),
+                          ("outside", "0,0,0,1e3,1e3,1"),
+                          ("nonfinite", "0,0,0,nan,0,1")):
+            (d / f"{name}.csv").write_text(f"{region.CSV_HEADER}\n{row}\n")
+        out = d / "no" / "out.dat" if bad_out_dir else d / "out.dat"
+        argv = [a.replace("{dir}", tmp) for a in argv] + [f"--out={out}"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3, 4), argv
+        assert out.exists() == (code in (0, 1)), (code, argv)
+        if out.exists():
+            assert all(map(math.isfinite, data_numbers(out))), argv
 
 
 def readme_commands():

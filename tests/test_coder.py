@@ -497,20 +497,6 @@ def test_error_bound_properties():
     assert not trace.error
 
 
-def test_expected_energy_rate_values():
-    params = make_params(beta1=0.0, beta2=0.0, r1=0.0, r2=0.0)
-    assert coder.expected_energy_rate(params, 0.0) == \
-        pytest.approx(channel.max_energy_rate(SYM10))
-    params = make_params(beta1=0.4, beta2=0.8)
-    op = region.OperatingPoint(0.4, 0.8, 0.3)
-    assert coder.expected_energy_rate(params, 0.3) == \
-        pytest.approx(region.region_box_fb(SYM10, op).b_max)
-    params = make_params()
-    rs = params.rho_star()
-    assert coder.expected_energy_rate(params, rs) == pytest.approx(35.23,
-                                                                   abs=5e-3)
-
-
 # --- whole blocks ---------------------------------------------------------------
 
 def test_block_power_accounting():

@@ -55,10 +55,17 @@ def test_outage_extremes():
 
 
 def test_default_epsilon_scales_with_mean_rate():
-    sc = make_sc()
-    rs = sc.params.rho_star()
-    want = 0.01 * coder.expected_energy_rate(sc.params, rs)
-    assert sc.effective_epsilon() == pytest.approx(want)
+    # the mean energy rate is the box's b_max at (beta, beta, rho*)
+    s21 = s22 = 10.0
+    for beta in (0.0, 0.5, 1.0):
+        sc = make_sc(beta=beta)
+        rs = sc.params.rho_star()
+        b_max = (1.0 + s21 + s22 + 2.0 * rs * beta * math.sqrt(s21 * s22)
+                 + 2.0 * (1.0 - beta) * math.sqrt(s21 * s22))
+        assert sc.effective_epsilon() == pytest.approx(0.01 * b_max)
+    assert make_sc(beta=0.0).effective_epsilon() == pytest.approx(0.41)
+    assert 100.0 * make_sc().effective_epsilon() == pytest.approx(35.23,
+                                                                  abs=5e-3)
     assert make_sc(epsilon=0.5).effective_epsilon() == 0.5
 
 

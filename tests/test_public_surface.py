@@ -16,10 +16,7 @@ ALLOWED = {
 }
 
 # public methods and properties kept without an in-package attribute access
-ALLOWED_MEMBERS = {
-    "RegionBoxFB.dominates": "witness check of a box; exact-in-rho region "
-                             "membership will certify its triplets with it",
-}
+ALLOWED_MEMBERS = {}
 
 
 def parse_package():

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -102,55 +101,53 @@ def test_rho_min_hand_values():
 # --- region boxes ------------------------------------------------------------
 
 def test_region_box_pure_energy():
-    box = region.region_box_fb(SYM10, region.OperatingPoint(0.0, 0.0, 0.0))
-    assert box.r1_max == box.r2_max == box.rsum_max == 0.0
-    assert box.b_max == pytest.approx(channel.max_energy_rate(SYM10))
+    r1, r2, rsum, bmax = region._boxes(SYM10, 0.0, 0.0, 0.0)
+    assert r1 == r2 == rsum == 0.0
+    assert bmax == pytest.approx(channel.max_energy_rate(SYM10))
 
 
 def test_region_box_hand_values():
-    box = region.region_box_fb(SYM10, region.OperatingPoint(1.0, 1.0, 0.0))
-    assert box.rsum_max == pytest.approx(0.5 * math.log2(21))
-    assert box.b_max == pytest.approx(21.0)
-    assert box.r1_max == pytest.approx(0.5 * math.log2(11))
-    nf2 = region.region_box_fb(SYM10, region.OperatingPoint(1.0, 0.0, 0.0))
-    assert nf2.b_max == pytest.approx(21.0)
-    assert nf2.r2_max == 0.0
+    r1, r2, rsum, bmax = region._boxes(SYM10, 1.0, 1.0, 0.0)
+    assert rsum == pytest.approx(0.5 * math.log2(21))
+    assert bmax == pytest.approx(21.0)
+    assert r1 == pytest.approx(0.5 * math.log2(11))
+    _, nf_r2, _, nf_bmax = region._boxes(SYM10, 1.0, 0.0, 0.0)
+    assert nf_bmax == pytest.approx(21.0)
+    assert nf_r2 == 0.0
 
 
 @given(pos_unit, pos_unit)
 @settings(max_examples=100)
 def test_region_box_sum_split_at_rho_star(b1, b2):
     rs = region.solve_rho_star(SYM10, b1, b2)
-    box = region.region_box_fb(SYM10, region.OperatingPoint(b1, b2, rs))
-    assert box.r1_max + box.r2_max == pytest.approx(box.rsum_max, abs=1e-9)
+    r1, r2, rsum, _ = region._boxes(SYM10, b1, b2, rs)
+    assert r1 + r2 == pytest.approx(rsum, abs=1e-9)
 
 
 @pytest.mark.parametrize("feedback", [True, False])
 @pytest.mark.parametrize("snr", [(10, 10, 10, 10), (10, 3, 2, 5)])
 def test_grid_boxes_match_scalar_box_bitwise(snr, feedback):
-    # one closed form: every grid row is exactly the scalar box there
+    # one closed form: every grid row is exactly the box at that point's
+    # Python floats, the form SimConfig.effective_epsilon evaluates
     cfg = channel.from_snr(*snr)
     b1, b2, rho, *bounds = region._grid_boxes(cfg, feedback, 24)
     grid = np.column_stack(bounds)
-    scalar = np.array([
-        astuple(region.region_box_fb(cfg, region.OperatingPoint(*op)))
-        for op in zip(b1.tolist(), b2.tolist(), rho.tolist())])
+    scalar = np.array([region._boxes(cfg, *op)
+                       for op in zip(b1.tolist(), b2.tolist(), rho.tolist())])
     assert len(grid) == (24 ** 3 if feedback else 24 ** 2)
     assert np.array_equal(grid, scalar)
 
 
 def test_monotonicity_in_rho():
-    grid = np.linspace(0.0, 1.0, 20)
+    grid = np.linspace(0.0, 1.0, 20).tolist()
     for b1 in grid:
         for b2 in grid:
-            boxes = [region.region_box_fb(ASYM,
-                                          region.OperatingPoint(b1, b2, r))
-                     for r in grid]
+            boxes = [region._boxes(ASYM, b1, b2, r) for r in grid]
             for lo, hi in zip(boxes, boxes[1:]):
-                assert hi.r1_max <= lo.r1_max + 1e-12
-                assert hi.r2_max <= lo.r2_max + 1e-12
-                assert hi.rsum_max >= lo.rsum_max - 1e-12
-                assert hi.b_max >= lo.b_max - 1e-12
+                assert hi[0] <= lo[0] + 1e-12  # r1_max
+                assert hi[1] <= lo[1] + 1e-12  # r2_max
+                assert hi[2] >= lo[2] - 1e-12  # rsum_max
+                assert hi[3] >= lo[3] - 1e-12  # b_max
 
 
 # --- membership --------------------------------------------------------------
