@@ -62,25 +62,43 @@ def _write(path, emit) -> None:
         emit(fh)
 
 
-def _write_table(path, fmt: str, names: tuple[str, ...], rows: list) -> None:
-    """Write tuples of floats as CSV (17 significant digits) or a JSON list.
+def _format_column(col: np.ndarray) -> list[str]:
+    """col's values as %.17g strings, each distinct value formatted once.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    strings.  A region table repeats most of its values (beta1, beta2 and
+    rho take at most res values each), so far fewer values are formatted
+    than the column has rows.
+    """
+    bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array(list(map("%.17g".__mod__, bits.view(np.float64).tolist())),
+                    dtype=object)
+    return text[inv].tolist()
+
+
+def _write_table(path, fmt: str, names: tuple[str, ...],
+                 table: np.ndarray) -> None:
+    """Write the rows of a 2-D float array as CSV (17 significant digits)
+    or a JSON list.
 
     A table holding an inf or nan is refused before the file is opened.
     """
-    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
-        row = next(r for r in rows if not all(map(math.isfinite, r)))
-        name, val = next((k, v) for k, v in zip(names, row)
-                         if not math.isfinite(v))
-        raise ValueError(f"{name} is {val} at {names[0]}={row[0]:.17g}; "
-                         "no data file written")
+    bad = ~np.isfinite(table)
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=1))[0])
+        j = int(np.flatnonzero(bad[i])[0])
+        raise ValueError(f"{names[j]} is {table[i, j]} at "
+                         f"{names[0]}={table[i, 0]:.17g}; no data file written")
 
     def emit(fh):
         if fmt == "csv":
-            fh.write(",".join(names) + "\n")
-            line = ",".join(["%.17g"] * len(names)) + "\n"
-            fh.write("".join(map(line.__mod__, rows)))
+            cols = [_format_column(col) for col in table.T]
+            lines = map(",".join, zip(*cols))
+            fh.write("\n".join(itertools.chain([",".join(names)], lines)))
+            fh.write("\n")
         else:
-            json.dump([dict(zip(names, row)) for row in rows], fh, indent=1)
+            json.dump([dict(zip(names, row)) for row in table.tolist()], fh,
+                      indent=1)
             fh.write("\n")
 
     _write(path, emit)
@@ -91,10 +109,11 @@ def cmd_region(args) -> int:
     if args.verify_contains is not None:
         # read and check the other file before any output is written
         with open(args.verify_contains, "r", encoding="ascii") as fh:
-            triplets = [rec.triplet for rec in region.records_from_csv(fh)]
-    records = region.sample_boundary_records(cfg, feedback=args.feedback,
-                                             resolution=args.res)
-    _write_table(args.out, args.format, region.BoundarySample._fields, records)
+            triplets = [region.RateTriplet(*row[3:]) for row in
+                        region.records_from_csv(fh).tolist()]
+    table = region.boundary_table(cfg, feedback=args.feedback,
+                                  resolution=args.res)
+    _write_table(args.out, args.format, region.BoundarySample._fields, table)
     if args.verify_contains is not None:
         bad = sum(not region.contains(cfg, t, feedback=args.feedback,
                                       grid_n=args.res) for t in triplets)
@@ -121,7 +140,8 @@ def cmd_sumcap(args) -> int:
         rows = [row + (region.time_sharing_sum_rate(cfg, row[0],
                                                     _TIMESHARE_GRID),)
                 for row in rows]
-    _write_table(args.out, args.format, names, rows)
+    _write_table(args.out, args.format, names,
+                 np.array(rows, dtype=np.float64).reshape(-1, len(names)))
     return EXIT_OK
 
 
@@ -137,7 +157,7 @@ def cmd_ratio(args) -> int:
         limit = region.gain_ratio_limit_high_snr(cfg.snr21 / cfg.snr22)
         rows.append((s, ratio, limit))
     _write_table(args.out, args.format, ("snr", "ratio", "limit_high_snr"),
-                 rows)
+                 np.array(rows, dtype=np.float64).reshape(-1, 3))
     return EXIT_OK
 
 

@@ -83,7 +83,13 @@ class SimConfig:
             return self.epsilon
         # the scheme's mean energy rate is the b_max of its box at rho*
         p = self.params
-        return 0.01 * float(_boxes(p.cfg, p.beta1, p.beta2, p.rho_star())[3])
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_max = float(_boxes(p.cfg, p.beta1, p.beta2, p.rho_star())[3])
+        if not math.isfinite(b_max):
+            raise ValueError(f"mean energy rate is {b_max} at these SNRs, so "
+                             "the default epsilon (1% of it) is undefined; "
+                             "give epsilon (--epsilon)")
+        return 0.01 * b_max
 
 
 @dataclass

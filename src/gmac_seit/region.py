@@ -9,11 +9,14 @@ piecewise sum-capacity formulas with and without feedback, a time-sharing
 baseline, the feedback energy-gain analytics, and the Pareto boundary
 sample behind the region CSV.
 
-The boundary is a 3-D maxima sweep over two corner rows per grid point:
-the rows are ordered by (-b, -r2, -r1, row index) from one sort of the
-grid by b and cheap fix-ups of the ties, and a block-wise sweep keeps the
-rows that no earlier row dominates, so only the kept rows are ever
-gathered into records.
+The boundary is a 3-D maxima sweep over the two sum-rate corners of each
+grid point's box, one row per point where the two are equal (a slack sum
+bound).  The rows are ordered by (-b, -r2, -r1, row index): the grid is
+sorted by -b with an unstable SIMD argsort, each run of equal b is put
+back in index order, and cheap stable passes order the ties in r2 and
+r1.  A block-wise sweep keeps the rows that no earlier row dominates, and
+only the kept rows are gathered, into one (K, 6) array that the CLI writes
+formatting each distinct value of a column once.
 """
 from __future__ import annotations
 
@@ -447,16 +450,40 @@ def _pareto_filter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
-                            resolution: int = 32) -> list[BoundarySample]:
-    """Pareto-dominant corner triplets of the region boxes on a uniform grid.
+def _b_order(bb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pts, -bb[pts]) for pts = np.argsort(-bb, kind="stable").
+
+    numpy's default argsort (SIMD where the CPU has it) orders by -b but
+    leaves equal b in no set order; one integer sort of the keys
+    (run of equal b) * len(bb) + point then puts each run in index order.
+    """
+    n = len(bb)
+    pts = np.argsort(-bb)
+    nb = -bb[pts]
+    run = np.zeros(n, dtype=np.int64)
+    np.cumsum(nb[1:] != nb[:-1], out=run[1:])
+    run *= n
+    pts += run
+    pts.sort()
+    pts -= run
+    return pts, nb
+
+
+def boundary_table(cfg: ChannelConfig, feedback: bool = True,
+                   resolution: int = 32) -> np.ndarray:
+    """Pareto-dominant corner triplets of the region boxes on a uniform grid,
+    as a (K, 6) array whose columns are the CSV's (beta1, beta2, rho, r1,
+    r2, b).
 
     Each grid point k, in (beta1, beta2, rho) order, has two corner rows,
-    2k and 2k + 1.  The records are the rows _pareto_filter keeps, in the
-    order (-b, -r2, -r1, row index).  That order is built in three passes,
-    each stable: grid points by -b, the rows of equal b by -r2 (cheap, as
-    the rows come nearly sorted), and, only inside runs of equal (b, r2)
-    whose r1 is out of order, those rows by -r1.
+    2k and 2k + 1.  The kept rows are those _pareto_filter keeps, in the
+    order (-b, -r2, -r1, row index).  Where a point's sum bound is slack
+    (c1 == r2_max), its first corner (r1_max, r2_max) weakly dominates the
+    second and precedes it, so the second is never kept and is not made a
+    row.  The order is built in three passes: grid points by -b, with equal
+    b in index order; the rows of equal b by -r2, stably (cheap, as the
+    rows come nearly sorted); and, only inside runs of equal (b, r2) whose
+    r1 is out of order, those rows by -r1, stably.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -465,32 +492,39 @@ def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
                                                              resolution)
     if not all(np.isfinite(a).all() for a in (r1b, r2b, rsb, bb)):
         raise ValueError("region bounds overflow float64 at these SNRs")
+    n = len(bb)
+    pts, nb = _b_order(bb)
+    r1p, r2p, rsp = r1b[pts], r2b[pts], rsb[pts]
+    del r1b, r2b, rsb
     # the two sum-rate corners of each box's pentagon, (r1_max, c1) and
     # (c2, r2_max), each paired with b_max; the zero-rate corners
     # (r1_max, 0) and (0, r2_max) are weakly dominated by them since
     # c1, c2 >= 0
-    c1 = np.clip(rsb - r1b, 0.0, r2b)
-    c2 = np.clip(rsb - r2b, 0.0, r1b)
-    del rsb
+    c1 = np.clip(rsp - r1p, 0.0, r2p)
+    c2 = np.clip(rsp - r2p, 0.0, r1p)
+    del rsp
     # rows 2j and 2j + 1 of the b-sorted layout are the corners of point
-    # pts[j], so they stand in (-b, row index) order
-    pts = np.argsort(-bb, kind="stable")
-    nb = -bb[pts]
-    x = np.empty(2 * len(pts))
-    y = np.empty_like(x)
-    x[0::2], x[1::2] = r1b[pts], c2[pts]
-    y[0::2], y[1::2] = c1[pts], r2b[pts]
+    # pts[j], so they stand in (-b, row index) order; where c1 == r2_max
+    # the second corner is no row
+    row = np.ones(2 * n, dtype=bool)
+    row[1::2] = c1 != r2p
+    x = np.empty(2 * n)
+    x[0::2], x[1::2] = r1p, c2
     # complex keys sort by the real part, then the imaginary part
-    key = np.empty(len(x), dtype=complex)
+    key = np.empty(2 * n, dtype=complex)
     key.real[0::2] = key.real[1::2] = nb
-    key.imag = -y
+    key.imag[0::2], key.imag[1::2] = -c1, -r2p
+    del r1p, r2p, c1, c2, nb
+    src = np.flatnonzero(row)  # layout position of each row
+    x, key = x[row], key[row]
+    del row
     order = np.argsort(key, kind="stable")
-    del key
-    xs, ys = x[order], y[order]
-    del x, y
+    key = key[order]
+    xs = x[order]
+    del x
+    ys, nbs = -key.imag, key.real
     # rows of equal (b, r2) still stand in row-index order; the runs of
     # them where r1 rises somewhere get a stable sort by -r1
-    nbs = nb[order >> 1]
     tie = (ys[1:] == ys[:-1]) & (nbs[1:] == nbs[:-1])
     bad = np.flatnonzero(tie & (xs[1:] > xs[:-1]))
     if len(bad):
@@ -501,17 +535,29 @@ def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
         key.real, key.imag = run[idx], -xs[idx]
         s = idx[np.argsort(key, kind="stable")]
         order[idx], xs[idx] = order[s], xs[s]
+    del tie, key, nbs
     kept = _pareto_filter(xs, ys)
-    pt = pts[order[kept] >> 1]
-    rows = np.column_stack([b1g[pt], b2g[pt], rhog[pt], xs[kept], ys[kept],
+    pt = pts[src[order[kept]] >> 1]
+    return np.column_stack([b1g[pt], b2g[pt], rhog[pt], xs[kept], ys[kept],
                             bb[pt]])
-    return list(map(BoundarySample._make, rows.tolist()))
+
+
+def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
+                            resolution: int = 32) -> list[BoundarySample]:
+    """boundary_table's rows as BoundarySample records."""
+    return list(map(BoundarySample._make,
+                    boundary_table(cfg, feedback, resolution).tolist()))
 
 
 CSV_HEADER = "beta1,beta2,rho,r1,r2,b"
 
 
-def records_from_csv(fh) -> list[BoundarySample]:
+def records_from_csv(fh) -> np.ndarray:
+    """The rows of a region CSV as a (K, 6) float array.
+
+    The header must be CSV_HEADER and every row must hold six finite
+    values; blank lines are skipped.
+    """
     header = fh.readline().strip()
     if header != CSV_HEADER:
         raise ValueError(f"expected header {CSV_HEADER!r}, got {header!r}")
@@ -523,5 +569,7 @@ def records_from_csv(fh) -> list[BoundarySample]:
         vals = [float(v) for v in line.split(",")]
         if len(vals) != 6:
             raise ValueError(f"expected 6 columns, got {len(vals)}")
-        out.append(BoundarySample(*vals))
-    return out
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"expected finite values, got {line!r}")
+        out.append(vals)
+    return np.array(out, dtype=np.float64).reshape(-1, 6)

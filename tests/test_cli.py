@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmac_seit import channel, cli, coder, mc, region
@@ -118,8 +118,10 @@ def test_region_csv_round_trip(tmp_path):
     with open(out) as fh:
         back = region.records_from_csv(fh)
     cfg = channel.from_snr(10, 3, 5, 7)
-    assert back == region.sample_boundary_records(cfg, feedback=True,
-                                                  resolution=4)
+    want = region.boundary_table(cfg, feedback=True, resolution=4)
+    # %.17g round-trips every float64, so the array comes back bit for bit
+    assert back.shape == want.shape
+    assert back.tobytes() == want.tobytes()
 
 
 def test_region_verify_contains(tmp_path, capsys):
@@ -136,6 +138,44 @@ def test_region_verify_contains(tmp_path, capsys):
                     "--no-feedback", "--out", str(tmp_path / "nf2.csv"),
                     "--verify-contains", str(fb)]) == 1
     assert "49 of 60 triplets not found" in capsys.readouterr().err
+
+
+# values where %.17g is easy to get wrong: signed zeros, subnormals, the
+# float64 extremes, and integers
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, -1.0, 0.1, 1e16, 123456789.0)
+
+
+@st.composite
+def float_tables(draw):
+    """2-D float tables whose cells repeat a few drawn values many times."""
+    rows = draw(st.integers(1, 200))
+    cols = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                                   st.floats(allow_nan=False,
+                                             allow_infinity=False)),
+                         min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(pool)[rng.integers(0, len(pool), (rows, cols))]
+
+
+@given(float_tables())
+@example(np.array([[-0.0]]))
+@example(np.array([[0.0, -0.0, 5e-324, -1e308]]))
+@example(np.array([[0.0], [-0.0], [0.0], [-0.0]]))
+@settings(max_examples=300, deadline=None)
+def test_write_table_csv_matches_per_row_format(table):
+    # formatting each distinct value once gives the bytes of formatting
+    # every cell, row by row
+    names = tuple(f"c{j}" for j in range(table.shape[1]))
+    line = ",".join(["%.17g"] * len(names)) + "\n"
+    want = ",".join(names) + "\n" + "".join(
+        line % tuple(row) for row in table.tolist())
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._write_table(None, "csv", names, table)
+    assert buf.getvalue() == want
 
 
 def test_region_json(tmp_path):
@@ -277,16 +317,29 @@ def test_exit_codes(tmp_path, capsys):
                         "--bmax", bmax,
                         "--out", str(tmp_path / "sumcap.csv")]) == 2, bmax
     # a report that overflowed to nan is refused before its file is opened
+    # (an explicit epsilon, as the default one overflows at the second SNRs)
     for snr, rate in (("1e308,1e308,1,1", "0,0"),
                       ("1e308,1e308,1e308,1e308", "0.1,0.1")):
         capsys.readouterr()
         assert run_cli(["simulate", "--snr", snr, "--beta", "1,1", "--rate",
-                        rate, "--n", "5", "--trials", "2",
+                        rate, "--n", "5", "--trials", "2", "--epsilon", "1",
                         "--out", str(tmp_path / "sim.json")]) == 2, snr
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == ("invalid arguments: mean_b is nan; "
                            "no data file written\n")
+    # a default epsilon of 1% of an overflowed mean energy rate is refused,
+    # not compared against (it read outage_hat 0.0 with exit 0)
+    capsys.readouterr()
+    assert run_cli(["simulate", "--snr", "0,1,1e200,1e200", "--beta", "1,1",
+                    "--rate", "0,0.1", "--n", "5", "--trials", "20",
+                    "--target-b", "3.5e200",
+                    "--out", str(tmp_path / "sim.json")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("invalid arguments: mean energy rate is nan")
+    assert "--epsilon" in out.err and out.err.count("\n") == 1
+    assert not (tmp_path / "sim.json").exists()
     # with five messages each, the overflowed coder is refused at decoding
     capsys.readouterr()
     assert run_cli(["simulate", "--snr", "1e308,1e308,1,1", "--beta", "1,1",

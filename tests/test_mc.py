@@ -69,6 +69,20 @@ def test_default_epsilon_scales_with_mean_rate():
     assert make_sc(epsilon=0.5).effective_epsilon() == 0.5
 
 
+def test_default_epsilon_refused_where_mean_rate_overflows():
+    # rho* is 0 at SNR11 = 0 and b1*s21*b2*s22 overflows, so b_max is
+    # 0 * sqrt(inf) = nan; an explicit epsilon still runs
+    cfg = channel.from_snr(0.0, 1.0, 1e200, 1e200)
+    params = coder.SchemeParams(cfg=cfg, n=5, r1=0.0, r2=0.1, beta1=1.0,
+                                beta2=1.0, seed=0)
+    sc = mc.SimConfig(params=params, trials=20, target_b=3.5e200)
+    with pytest.raises(ValueError, match="mean energy rate is nan"):
+        mc.run(sc)
+    rep = mc.run(mc.SimConfig(params=params, trials=20, target_b=3.5e200,
+                              epsilon=1e190))
+    assert rep.outage_hat > 0.0
+
+
 def test_error_rate_within_analytic_bound():
     sc = make_sc(n=60, trials=400, r=0.8, seed=3)
     rep = mc.run(sc)

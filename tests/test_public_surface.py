@@ -13,10 +13,17 @@ ALLOWED = {
                    "next to the measured error rate",
     "simulate_block": "batch-of-one seam the oracle tests drive with "
                       "FixedDraws",
+    "sample_boundary_records": "boundary_table's rows as records; the tests "
+                               "and the benchmark's worker read them until "
+                               "BoundarySample goes",
 }
 
 # public methods and properties kept without an in-package attribute access
-ALLOWED_MEMBERS = {}
+ALLOWED_MEMBERS = {
+    "BoundarySample.triplet": "the (r1, r2, b) of a sample_boundary_records "
+                              "row, which the tests and the benchmark's "
+                              "worker pass to contains",
+}
 
 
 def parse_package():

@@ -403,6 +403,8 @@ def test_sample_boundary_is_pareto():
 @example(10, 10, 0, 10, True, 7)  # s21 = 0: every b is equal
 @example(10, 10, 0, 10, False, 7)
 @example(10, 10, 0, 0, True, 5)
+@example(0, 10, 5, 5, True, 7)  # s11 = 0: every point's corners are equal
+@example(0, 10, 5, 5, False, 7)
 @settings(max_examples=60, deadline=None)
 def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
                                                     res):
@@ -415,13 +417,37 @@ def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("snr", [(10, 10, 0, 10), (10, 10, 10, 10),
+                                 (10, 3, 2, 5)])
+@pytest.mark.parametrize("fb", [True, False])
+@pytest.mark.parametrize("res", range(2, 10))
+def test_b_order_is_stable_argsort(snr, fb, res):
+    # at s21 = 0 every b ties, and SYM10 ties b across the beta1 <-> beta2
+    # mirror; the unstable argsort's fix-up must give index order in a run
+    bb = region._grid_box_arrays(channel.from_snr(*snr), fb, res)[6]
+    pts, nb = region._b_order(bb)
+    want = np.argsort(-bb, kind="stable")
+    assert pts.tolist() == want.tolist()
+    assert nb.tobytes() == (-bb[want]).tobytes()
+
+
+def test_b_order_on_many_ties():
+    # a few distinct values in shuffled runs, long enough for the SIMD sort
+    bb = np.random.default_rng(1).integers(0, 7, 5000).astype(float)
+    assert (region._b_order(bb)[0].tolist()
+            == np.argsort(-bb, kind="stable").tolist())
+
+
 def test_boundary_records_are_csv_rows():
-    # cmd_region writes the records as they are, so each must be a tuple of
-    # the CSV columns in header order
+    # cmd_region writes boundary_table's columns in header order, and each
+    # record is one of its rows
     names = tuple(region.CSV_HEADER.split(","))
     assert region.BoundarySample._fields == names
+    table = region.boundary_table(ASYM, feedback=True, resolution=5)
     recs = region.sample_boundary_records(ASYM, feedback=True, resolution=5)
     assert recs
+    assert table.dtype == np.float64 and table.shape == (len(recs), len(names))
+    assert np.array(recs).tobytes() == table.tobytes()
     for rec in recs:
         assert isinstance(rec, tuple) and len(rec) == len(names)
         assert tuple(rec) == tuple(getattr(rec, name) for name in names)
