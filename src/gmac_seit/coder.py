@@ -158,9 +158,13 @@ def _coeffs(r: float, s1: float, s2: float):
     a1 = s1 + r * s2
     a2 = s2 + r * s1
     v = s1 * s1 + s2 * s2 + 2.0 * r * s1 * s2 + 1.0
-    d1 = math.sqrt(1.0 - a1 * a1 / v)  # v - a1^2 = s2^2(1-r^2) + 1 > 0
-    d2 = math.sqrt(1.0 - a2 * a2 / v)
-    return a1, a2, v, d1, d2
+    q1 = 1.0 - a1 * a1 / v  # v - a1^2 = s2^2(1-r^2) + 1 > 0 for |r| <= 1
+    q2 = 1.0 - a2 * a2 / v
+    if q1 < 0.0 or q2 < 0.0:
+        raise ValueError(
+            f"the coder's error correlation r = {r:.6g} has been rounded to or "
+            "past the edge of [-1, 1] at these SNRs (1 - a_i^2/v < 0)")
+    return a1, a2, v, math.sqrt(q1), math.sqrt(q2)
 
 
 def _decode(params: SchemeParams, err: np.ndarray, log2_sigma,

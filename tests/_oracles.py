@@ -6,8 +6,9 @@ forms, a naive unnormalized covariance recursion instead of the
 log-domain one, a 2x2 matrix error-state recursion for the law of
 the empirical energy rate instead of the coefficient schedule, an
 all-pairs dominance check for the region boundary instead of a sweep,
-and a scalar use-by-use replay of one coded block with exact-rational
-decisions instead of the trial-batched engine.  None of them imports
+a step-by-step golden-section search that scores one probe per call
+instead of a tree of probes, and a scalar use-by-use replay of one coded
+block with exact-rational decisions instead of the trial-batched engine.  None of them imports
 the library; tests/test_oracles_independent.py keeps it that way.
 """
 import math
@@ -86,6 +87,39 @@ def pareto_corners(grid):
     keep = [k for k in range(len(arr))
             if not (arr[:k, 3:] >= arr[k, 3:]).all(axis=1).any()]
     return arr[keep]
+
+
+def golden_section_replay(score, pts, c, h, fx, steps=40):
+    """Golden-section maximization of score along coordinate c, one step
+    and one score call at a time, for every column of pts at once.
+
+    Each column searches its own bracket [x - h, x + h] clipped to [0, 1]
+    and then moves to the bracket's midpoint unless that scores worse than
+    fx.  Returns (new pts, new scores); pts is left as it was.
+    """
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    pts = np.array(pts, dtype=float)
+
+    def f(v):
+        q = list(pts)
+        q[c] = v
+        return score(q)
+
+    x = pts[c]
+    a, b = np.maximum(0.0, x - h), np.minimum(1.0, x + h)
+    lo, hi = b - gr * (b - a), a + gr * (b - a)
+    flo, fhi = f(lo), f(hi)
+    for _ in range(steps):
+        left = flo >= fhi
+        a, b = np.where(left, a, lo), np.where(left, hi, b)
+        new = np.where(left, b - gr * (b - a), a + gr * (b - a))
+        fnew = f(new)
+        lo, hi = np.where(left, new, hi), np.where(left, lo, new)
+        flo, fhi = np.where(left, fnew, fhi), np.where(left, flo, fnew)
+    best = 0.5 * (a + b)
+    fb = f(best)
+    pts[c] = np.where(fb >= fx, best, x)
+    return pts, np.where(fb >= fx, fb, fx)
 
 
 def naive_posterior(params, yprimes):

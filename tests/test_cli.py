@@ -363,6 +363,18 @@ def test_exit_codes(tmp_path, capsys):
         assert out.err.startswith("invalid arguments: ")
         assert "underflows" in out.err and out.err.count("\n") == 1
         assert not (tmp_path / "sim.json").exists()
+    # rounding in the schedule's recursion takes the error correlation to
+    # -1.00016, where 1 - a_i^2/v < 0: refused by name, not "math domain"
+    capsys.readouterr()
+    assert run_cli(["simulate", "--snr", "1e200,1e200,1e200,1e200", "--beta",
+                    "1,0.5", "--rate-frac", "0.5", "--n", "8", "--trials", "3",
+                    "--epsilon", "1", "--out", str(tmp_path / "sim.json")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("invalid arguments: the coder's error "
+                              "correlation r = -1.00016 ")
+    assert "[-1, 1]" in out.err and out.err.count("\n") == 1
+    assert not (tmp_path / "sim.json").exists()
     # a non-finite --verify-contains row is a usage error, not a verdict
     for bad in ("inf", "nan"):
         rows = tmp_path / f"{bad}.csv"

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from _oracles import brute_force_sum_capacity, pareto_corners, scan_rho_star
+from _oracles import (brute_force_sum_capacity, golden_section_replay,
+                      pareto_corners, scan_rho_star)
 from gmac_seit import channel, region
 
 SYM10 = channel.from_snr(10, 10, 10, 10)
@@ -203,6 +205,118 @@ def test_refine_coord_returns_column_scores(feedback):
         assert (fx >= entry).all()
         raised |= bool((fx > entry).any())
     assert raised
+
+
+def slack_score(cfg, t):
+    """contains' score: the least slack of t's four bounds in the box."""
+    def score(q):
+        r1, r2, rs, b = region._boxes(cfg, *q)
+        return np.minimum(np.minimum(r1 - t.r1, r2 - t.r2),
+                          np.minimum(rs - (t.r1 + t.r2), b - t.b))
+    return score
+
+
+@st.composite
+def plateau_scores(draw):
+    """Polynomial scores of the three rows, cut into plateaus of tied
+    values (levels > 0) and with a NaN window along one row."""
+    center = [draw(unit) for _ in range(3)]
+    weight = [draw(st.floats(0.0, 4.0)) for _ in range(3)]
+    cubic = draw(st.floats(-8.0, 8.0))
+    levels = draw(st.sampled_from([0, 1, 3, 16, 1000]))
+    nan_row, nan_lo = draw(st.integers(0, 2)), draw(unit)
+    nan_hi = nan_lo + draw(st.sampled_from([0.0, 1e-3, 0.1, 0.5]))
+
+    def score(q):
+        d = [q[i] - center[i] for i in range(3)]
+        v = cubic * (d[0] * d[0] * d[0] + d[1] * d[1] * d[1]
+                     + d[2] * d[2] * d[2])
+        for i in range(3):
+            v = v - weight[i] * d[i] * d[i]
+        if levels:
+            v = np.floor(v * levels) / levels
+        return np.where((q[nan_row] > nan_lo) & (q[nan_row] < nan_hi),
+                        np.nan, v)
+    return score
+
+
+def starts(n):
+    """(3, n) starts, some on the bracket-clipping edges 0 and 1."""
+    return hnp.arrays(np.float64, (3, n), elements=unit | st.sampled_from(
+        [0.0, 1.0, 0.5, 1.0 / 47.0]))
+
+
+def assert_replays_step_by_step(score, pts, c, h):
+    fx = score(pts)
+    want_pts, want = golden_section_replay(score, pts, c, h, fx)
+    got = region._refine_coord(score, pts, c, h, fx)
+    assert pts.tobytes() == want_pts.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+log_h = st.floats(-9.0, 0.0).map(lambda e: 10.0 ** e)
+
+
+@given(st.sampled_from([1, 48]).flatmap(starts), st.integers(0, 2), log_h,
+       plateau_scores())
+@settings(max_examples=150, deadline=None)
+def test_refine_coord_replays_step_by_step_search(pts, c, h, score):
+    # the probe tree takes each column through the brackets, probes and
+    # scores of the one-probe-per-call search, bit for bit, through ties,
+    # plateaus and NaN scores
+    assert_replays_step_by_step(score, pts, c, h)
+
+
+@given(st.sampled_from([(10, 10, 10, 10), (10, 3, 2, 5), (3, 20, 8, 1),
+                        (0.5, 2, 1, 4)]),
+       st.booleans(), st.sampled_from([0.999, 1.0, 1.001]),
+       st.integers(0, 10 ** 6), st.integers(9, 48), st.data())
+@settings(max_examples=60, deadline=None)
+def test_refine_coord_replays_step_by_step_on_box_slack(snr, fb, scale, pick,
+                                                        grid, data):
+    cfg = channel.from_snr(*snr)
+    base = boundary_triplets(cfg, True, 8)
+    t0 = base[pick % len(base)]
+    t = region.RateTriplet(t0.r1 * scale, t0.r2 * scale, t0.b * scale)
+    pts = data.draw(starts(48 if fb else 1))
+    if not fb:
+        pts[2] = 0.0
+    c = data.draw(st.integers(0, 2 if fb else 1))
+    assert_replays_step_by_step(slack_score(cfg, t), pts, c, 1.0 / (grid - 1))
+
+
+def test_refine_coord_scores_eleven_times_per_pass(monkeypatch):
+    # one call for the opening pair and one per four steps: a search that
+    # went back to one probe per call would make 43
+    t = region.RateTriplet(1.6, 1.5, 30.0)
+    calls = []
+
+    def counted(score):
+        def wrapped(q):
+            calls.append(q)
+            return score(q)
+        return wrapped
+
+    for n in (1, 48):
+        pts = np.random.default_rng(n).uniform(0.0, 1.0, (3, n))
+        score = slack_score(SYM10, t)
+        calls.clear()
+        region._refine_coord(counted(score), pts, 1, 0.1, score(pts))
+        assert len(calls) == 11
+    refine = region._refine_coord
+    per_pass = []
+
+    def refine_counted(score, *args):
+        calls.clear()
+        out = refine(counted(score), *args)
+        per_pass.append(len(calls))
+        return out
+
+    monkeypatch.setattr(region, "_refine_coord", refine_counted)
+    for fb in (True, False):
+        assert not region.contains(SYM10, region.RateTriplet(3.0, 3.0, 40.0),
+                                   feedback=fb, grid_n=9)
+    assert per_pass == [11] * 10
 
 
 def test_contains_verdicts_golden_digest():
