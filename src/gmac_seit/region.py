@@ -9,6 +9,13 @@ piecewise sum-capacity formulas with and without feedback, a time-sharing
 baseline, the feedback energy-gain analytics, and the Pareto boundary
 sample behind the region CSV.
 
+Both grids, membership's and the boundary's, are _boxes on broadcast
+(beta1, beta2, rho) axes, never a meshgrid: r1 depends on (beta1, rho)
+and r2 on (beta2, rho) only, so only rsum and b are full grids.  The
+membership grid is cached rho-major.  contains tests it in blocks of 1, 1,
+2, 4, ... rho slices from rho = 0 up and stops at the first block with a
+hit; on a miss it refines from the best point of every slice.
+
 The boundary is a 3-D maxima sweep over the two sum-rate corners of each
 grid point's box, one row per point where the two are equal (a slack sum
 bound).  The rows are ordered by (-b, -r2, -r1, row index): the grid is
@@ -39,7 +46,8 @@ class InfeasibleEnergyRateError(ValueError):
 
 
 class DegenerateSnrError(ValueError):
-    """Operation undefined when an information SNR is zero."""
+    """Operation undefined when an information SNR is zero, or when the
+    product of the two underflows to zero."""
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +189,21 @@ def _boxes(cfg: ChannelConfig, b1, b2, rho):
 # region membership
 
 
-def _grid_box_arrays(cfg: ChannelConfig, feedback: bool, grid_n: int):
-    """Flattened region-box bounds over the uniform operating-point grid."""
-    g = np.linspace(0.0, 1.0, grid_n)
-    rho_axis = g if feedback else np.zeros(1)
-    b1, b2, rho = np.meshgrid(g, g, rho_axis, indexing="ij")
-    b1, b2, rho = b1.ravel(), b2.ravel(), rho.ravel()
-    return (b1, b2, rho) + _boxes(cfg, b1, b2, rho)
-
-
 @lru_cache(maxsize=32)
 def _grid_boxes(cfg: ChannelConfig, feedback: bool, grid_n: int):
-    """_grid_box_arrays, kept for the repeated contains calls on one grid."""
-    return _grid_box_arrays(cfg, feedback, grid_n)
+    """(g, rho, r1, r2, rsum, b): contains' grid, kept for repeated calls.
+
+    g is the beta axis and rho the rho axis (g, or the one value 0 without
+    feedback).  The bounds are _boxes on the broadcast axes, rho-major:
+    r1 is (n_rho, grid_n, 1), r2 (n_rho, 1, grid_n), and rsum and b are
+    full (n_rho, grid_n, grid_n), so [k, i, j] is the point (g[i], g[j],
+    rho[k]).
+    """
+    g = np.linspace(0.0, 1.0, grid_n)
+    rho = g if feedback else np.zeros(1)
+    # a grid too large to allocate fails here, before any part is computed
+    np.empty((len(rho), grid_n, grid_n))
+    return (g, rho) + _boxes(cfg, g[:, None], g, rho[:, None, None])
 
 
 _GOLDEN_DEPTH = 4  # golden-section steps that one score call resolves
@@ -286,53 +296,60 @@ def _refine_coord(score, pts: np.ndarray, c: int, h: float,
     return np.where(fb >= fx, fb, fx)
 
 
-_SLACK_BLOCK = 8192  # grid points per block of contains' slack scan
+# most grid points per block of contains' slack scan; a block holds whole
+# rho slices, at least one
+_SLACK_BLOCK = 8192
 
 
 def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
              grid_n: int = 32) -> bool:
     """One-sided membership certificate for t in the capacity region.
 
-    True means some operating point on (or refined near) a grid_n^3 grid
-    dominates t; False only means none was found at this resolution.
-    Comparisons carry a 1e-9 relative slack so that triplets sitting exactly
-    on a box face (a closure point) are not rejected by roundoff.
+    True means some operating point on (or refined near) the uniform
+    (beta1, beta2, rho) grid, grid_n^3 points (grid_n^2 at rho = 0 without
+    feedback), dominates t; False only means none was found at this
+    resolution.  Comparisons carry a 1e-9 relative slack so that triplets
+    sitting exactly on a box face (a closure point) are not rejected by
+    roundoff.
 
-    Refinement stops at the first pass that certifies t: no pass lowers a
-    start's score, which depends on that start alone, so the verdict holds.
+    The grid is tested in blocks of rho slices from rho = 0 up, of 1, 1,
+    2, 4, ... slices, and the test stops at the first block with a hit.
+    On a miss, the best grid point of every rho slice starts a coordinate
+    refinement, which stops at the first pass that certifies t: no pass
+    lowers a start's score, which depends on that start alone, so the
+    verdict holds.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     eps = 1e-9 * max(1.0, t.r1, t.r2, t.b)
-    b1g, b2g, rhog, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback, grid_n)
-    ok = ((r1b >= t.r1 - eps) & (r2b >= t.r2 - eps)
-          & (rsb >= t.r1 + t.r2 - eps) & (bb >= t.b - eps))
-    if bool(ok.any()):
-        return True
+    g, rho, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback, grid_n)
+    t1, t2, ts, tb = t.r1 - eps, t.r2 - eps, t.r1 + t.r2 - eps, t.b - eps
+    lo = 0
+    while lo < len(rho):
+        part = slice(lo, max(1, 2 * lo))
+        ok = (r1b[part] >= t1) & (r2b[part] >= t2)
+        ok &= rsb[part] >= ts
+        ok &= bb[part] >= tb
+        if np.count_nonzero(ok):
+            return True
+        lo = part.stop
 
     def slack(r1, r2, rs, b):
         return np.minimum(np.minimum(r1 - t.r1, r2 - t.r2),
                           np.minimum(rs - (t.r1 + t.r2), b - t.b))
 
     # multi-start: the global slack argmax can sit in the wrong basin, so
-    # refine from the best grid point of every rho-slice at once
-    n_rho = grid_n if feedback else 1
-    # the first argmax of every rho column of the (grid_n^2, n_rho) slack,
-    # a NaN counting as the largest, taken over blocks of rows: grid-sized
-    # temporaries would be fresh allocations from the OS on every call
-    cols = np.arange(n_rho)
-    best = np.full(n_rho, -np.inf)
-    row = np.zeros(n_rho, dtype=np.intp)
-    step = max(1, _SLACK_BLOCK // n_rho)
-    for lo in range(0, grid_n * grid_n, step):
-        part = slice(lo * n_rho, (lo + step) * n_rho)
-        sl = slack(r1b[part], r2b[part], rsb[part], bb[part])
-        a = np.argmax(sl.reshape(-1, n_rho), axis=0)
-        v = sl[a * n_rho + cols]
-        up = (v > best) | (np.isnan(v) & ~np.isnan(best))
-        best[up], row[up] = v[up], a[up] + lo
-    k = row * n_rho + cols
-    pts = np.stack([b1g[k], b2g[k], rhog[k]])
+    # refine from the best grid point of every rho slice at once: its
+    # first argmax, a NaN counting as the largest, taken a block of slices
+    # at a time, as grid-sized temporaries would be fresh allocations from
+    # the OS on every call
+    n2 = grid_n * grid_n
+    step = max(1, _SLACK_BLOCK // n2)
+    row = np.concatenate([
+        np.argmax(slack(*(a[k:k + step] for a in (r1b, r2b, rsb, bb)))
+                  .reshape(-1, n2), axis=1)
+        for k in range(0, len(rho), step)])
+    pts = np.stack([g[row // grid_n], g[row % grid_n], rho])
     h = 1.0 / (grid_n - 1)
     fx = slack(*_boxes(cfg, *pts))
     for c in (0, 1, 2) * 2 if feedback else (0, 1) * 2:  # two sweeps
@@ -434,7 +451,11 @@ def b_fb_at_nf_sum_capacity(cfg: ChannelConfig) -> tuple[float, float]:
     s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
     if s11 <= 0.0 or s12 <= 0.0:
         raise DegenerateSnrError("requires SNR11 > 0 and SNR12 > 0")
-    gamma = ((s11 + s12) / (2.0 * s11 * s12)) * (
+    den = 2.0 * s11 * s12
+    if den == 0.0:
+        raise DegenerateSnrError(
+            f"2*SNR11*SNR12 underflows to 0 at SNR11 = {s11}, SNR12 = {s12}")
+    gamma = ((s11 + s12) / den) * (
         math.sqrt(1.0 + 4.0 * s11 * s12 / (s11 + s12)) - 1.0)
     b_fb = 1.0 + s21 + s22 + 2.0 * math.sqrt((1.0 - gamma) * s21 * s22)
     return gamma, b_fb
@@ -544,11 +565,20 @@ def boundary_table(cfg: ChannelConfig, feedback: bool = True,
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    g = np.linspace(0.0, 1.0, resolution)
+    rho = g if feedback else np.zeros(1)
+    shape = (resolution, resolution, len(rho))
+    # the first grid-sized array: a grid too large to allocate fails here,
+    # before any part of it is computed
+    r1b = np.empty(shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        b1g, b2g, rhog, r1b, r2b, rsb, bb = _grid_box_arrays(cfg, feedback,
-                                                             resolution)
-    if not all(np.isfinite(a).all() for a in (r1b, r2b, rsb, bb)):
+        boxes = _boxes(cfg, g[:, None, None], g[:, None], rho)
+    if not all(np.isfinite(a).all() for a in boxes):
         raise ValueError("region bounds overflow float64 at these SNRs")
+    r1b[...] = boxes[0]
+    r1b = r1b.ravel()
+    r2b, rsb, bb = (np.broadcast_to(a, shape).ravel() for a in boxes[1:])
+    del boxes
     n = len(bb)
     pts, nb = _b_order(bb)
     r1p, r2p, rsp = r1b[pts], r2b[pts], rsb[pts]
@@ -595,7 +625,9 @@ def boundary_table(cfg: ChannelConfig, feedback: bool = True,
     del tie, key, nbs
     kept = _pareto_filter(xs, ys)
     pt = pts[src[order[kept]] >> 1]
-    return np.column_stack([b1g[pt], b2g[pt], rhog[pt], xs[kept], ys[kept],
+    i1, rest = np.divmod(pt, resolution * len(rho))
+    i2, k = np.divmod(rest, len(rho))
+    return np.column_stack([g[i1], g[i2], rho[k], xs[kept], ys[kept],
                             bb[pt]])
 
 

@@ -6,10 +6,13 @@ forms, a naive unnormalized covariance recursion instead of the
 log-domain one, a 2x2 matrix error-state recursion for the law of
 the empirical energy rate instead of the coefficient schedule, an
 all-pairs dominance check for the region boundary instead of a sweep,
-a step-by-step golden-section search that scores one probe per call
-instead of a tree of probes, and a scalar use-by-use replay of one coded
-block with exact-rational decisions instead of the trial-batched engine.  None of them imports
-the library; tests/test_oracles_independent.py keeps it that way.
+one pass over a flat grid with a per-slice first maximum for the
+membership grid test instead of blocks of rho slices, a step-by-step
+golden-section search that scores one probe per call instead of a tree of
+probes, and a scalar use-by-use replay of one coded block with
+exact-rational decisions instead of the trial-batched engine.  None of
+them imports the library; tests/test_oracles_independent.py keeps it that
+way.
 """
 import math
 from fractions import Fraction
@@ -87,6 +90,37 @@ def pareto_corners(grid):
     keep = [k for k in range(len(arr))
             if not (arr[:k, 3:] >= arr[k, 3:]).all(axis=1).any()]
     return arr[keep]
+
+
+def grid_starts(grid, t, n_rho):
+    """Membership grid verdict and refinement starts, in one flat pass.
+
+    grid holds the seven flat arrays (beta1, beta2, rho, r1_max, r2_max,
+    rsum_max, b_max) of the operating points in (beta1, beta2, rho) order,
+    rho fastest over its n_rho values, and t is (r1, r2, b).  Returns
+    (True, None) when some point reaches t in all four bounds to within
+    the slack eps = 1e-9 max(1, r1, r2, b).  Otherwise returns (False,
+    pts): column k of the (3, n_rho) pts is the point of the k-th rho
+    slice with the largest least slack min(r1_max - r1, r2_max - r2,
+    rsum_max - (r1 + r2), b_max - b), the first NaN one if there is one,
+    else the first largest.
+    """
+    b1, b2, rho, r1b, r2b, rsb, bb = grid
+    r1, r2, b = t
+    eps = 1e-9 * max(1.0, r1, r2, b)
+    if ((r1b >= r1 - eps) & (r2b >= r2 - eps) & (rsb >= r1 + r2 - eps)
+            & (bb >= b - eps)).any():
+        return True, None
+    slack = np.minimum(np.minimum(r1b - r1, r2b - r2),
+                       np.minimum(rsb - (r1 + r2), bb - b))
+    pts = np.empty((3, n_rho))
+    for k in range(n_rho):
+        col = slack[k::n_rho]
+        nan = np.flatnonzero(np.isnan(col))
+        first = nan[0] if len(nan) else np.flatnonzero(col == col.max())[0]
+        i = first * n_rho + k
+        pts[:, k] = b1[i], b2[i], rho[i]
+    return False, pts
 
 
 def golden_section_replay(score, pts, c, h, fx, steps=40):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _oracles import (brute_force_sum_capacity, golden_section_replay,
-                      pareto_corners, scan_rho_star)
+                      grid_starts, pareto_corners, scan_rho_star)
 from gmac_seit import channel, region
 
 SYM10 = channel.from_snr(10, 10, 10, 10)
@@ -23,6 +23,15 @@ pos_unit = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
 def boundary_triplets(cfg, feedback, resolution):
     return [rec.triplet for rec in region.sample_boundary_records(
         cfg, feedback=feedback, resolution=resolution)]
+
+
+def flat_grid(cfg, feedback, resolution):
+    """The seven flat arrays (beta1, beta2, rho, r1_max, r2_max, rsum_max,
+    b_max) of the uniform grid in (beta1, beta2, rho) order, rho fastest."""
+    g = np.linspace(0.0, 1.0, resolution)
+    ops = [a.ravel() for a in np.meshgrid(g, g, g if feedback else np.zeros(1),
+                                          indexing="ij")]
+    return ops + list(region._boxes(cfg, *ops))
 
 
 # --- phi and rho* -----------------------------------------------------------
@@ -129,15 +138,30 @@ def test_region_box_sum_split_at_rho_star(b1, b2):
 @pytest.mark.parametrize("feedback", [True, False])
 @pytest.mark.parametrize("snr", [(10, 10, 10, 10), (10, 3, 2, 5)])
 def test_grid_boxes_match_scalar_box_bitwise(snr, feedback):
-    # one closed form: every grid row is exactly the box at that point's
-    # Python floats, the form SimConfig.effective_epsilon evaluates
+    # one closed form: every (rho, beta1, beta2) value of the rho-major
+    # grid is exactly the box at that point's Python floats, the form
+    # SimConfig.effective_epsilon evaluates
     cfg = channel.from_snr(*snr)
-    b1, b2, rho, *bounds = region._grid_boxes(cfg, feedback, 24)
-    grid = np.column_stack(bounds)
-    scalar = np.array([region._boxes(cfg, *op)
-                       for op in zip(b1.tolist(), b2.tolist(), rho.tolist())])
-    assert len(grid) == (24 ** 3 if feedback else 24 ** 2)
-    assert np.array_equal(grid, scalar)
+    g, rho, *bounds = region._grid_boxes(cfg, feedback, 24)
+    shape = (24 if feedback else 1, 24, 24)
+    grid = np.stack([np.broadcast_to(a, shape) for a in bounds], axis=-1)
+    scalar = np.array([[[region._boxes(cfg, b1, b2, r) for b2 in g.tolist()]
+                        for b1 in g.tolist()] for r in rho.tolist()])
+    assert g.tolist() == np.linspace(0.0, 1.0, 24).tolist()
+    assert rho.tolist() == (g.tolist() if feedback else [0.0])
+    assert grid.shape == scalar.shape == shape + (4,)
+    assert grid.tobytes() == scalar.tobytes()
+
+
+def test_grid_boxes_entry_size():
+    # r1 varies over (rho, beta1) and r2 over (rho, beta2) only, so a grid
+    # 48 feedback entry holds two full 48^3 arrays, not seven
+    entry = region._grid_boxes(SYM10, True, 48)
+    # the buffers the entry keeps alive, each counted once
+    owners = {id(o): o for o in (a if a.base is None else a.base
+                                 for a in entry)}.values()
+    assert all(o.base is None and o.dtype == np.float64 for o in owners)
+    assert sum(o.size for o in owners) <= 2 * 48 ** 3 + 4 * 48 ** 2
 
 
 def test_monotonicity_in_rho():
@@ -341,8 +365,8 @@ def test_contains_verdicts_golden_digest():
 
 def test_contains_verdicts_do_not_depend_on_slack_blocks(monkeypatch):
     # the refinement starts are a block-wise argmax over the grid; at grid
-    # 24 the default takes two blocks, and one row per block must pick the
-    # same starts
+    # 24 the default takes two blocks of rho slices, and one slice per block
+    # must pick the same starts
     cfg = channel.from_snr(10, 3, 2, 5)
     ts = [region.RateTriplet(t.r1 * s, t.r2 * s, t.b * s)
           for t in boundary_triplets(cfg, True, 12)[::32]
@@ -355,6 +379,50 @@ def test_contains_verdicts_do_not_depend_on_slack_blocks(monkeypatch):
     want = verdicts()
     monkeypatch.setattr(region, "_SLACK_BLOCK", 1)
     assert verdicts() == want
+
+
+class _FirstPass(Exception):
+    """Raised by a stand-in for _refine_coord to end contains there."""
+
+
+@pytest.mark.parametrize("fb", [True, False])
+@pytest.mark.parametrize("grid", [2, 3, 5, 9, 17, 48])
+def test_contains_grid_test_and_starts_match_flat_oracle(grid, fb,
+                                                         monkeypatch):
+    # contains tests its grid in blocks of 1, 1, 2, 4, ... rho slices (the
+    # last block partial at every grid here but 2) and takes the starts
+    # from blocks of whole slices; its verdict and the first pass's pts and
+    # scores must be those of one flat pass over the grid, bit for bit
+    seen = []
+
+    def first_pass(score, pts, c, h, fx):
+        seen.append((pts.copy(), fx.copy()))
+        raise _FirstPass
+
+    monkeypatch.setattr(region, "_refine_coord", first_pass)
+    verdicts = []
+    for snr in ((10, 10, 10, 10), (10, 3, 2, 5), (3, 20, 8, 1)):
+        cfg = channel.from_snr(*snr)
+        flat = flat_grid(cfg, fb, grid)
+        for t0 in boundary_triplets(cfg, True, 8)[::5]:
+            for s in (0.999, 1.0, 1.001):
+                t = region.RateTriplet(t0.r1 * s, t0.r2 * s, t0.b * s)
+                hit, want = grid_starts(flat, (t.r1, t.r2, t.b),
+                                        grid if fb else 1)
+                seen.clear()
+                try:
+                    got = region.contains(cfg, t, feedback=fb, grid_n=grid)
+                except _FirstPass:
+                    got = None
+                verdicts.append(hit)
+                if hit:
+                    assert got is True and seen == []
+                    continue
+                pts, fx = seen[0]
+                assert pts.tobytes() == want.tobytes()
+                assert fx.tobytes() == slack_score(cfg, t)(want).tobytes()
+    assert not all(verdicts)
+    assert any(verdicts) or grid == 2
 
 
 # --- capacities in b ----------------------------------------------------------
@@ -451,6 +519,26 @@ def test_degenerate_snr_rejected():
         region.b_fb_at_nf_sum_capacity(channel.from_snr(0, 10, 1, 1))
 
 
+@pytest.mark.parametrize("snr", [(1e-200, 1e-200, 1e-200, 1e-200),
+                                 (1e-162, 1e-162, 1, 1),
+                                 (1e-300, 1e-30, 2, 5)])
+def test_gain_ratio_names_snr_product_underflow(snr):
+    # 2 * SNR11 * SNR12 rounds to 0 although both are positive; the gamma
+    # closed form divides by it
+    cfg = channel.from_snr(*snr)
+    for fn in (region.b_fb_at_nf_sum_capacity, region.feedback_gain_ratio):
+        with pytest.raises(region.DegenerateSnrError, match="underflows"):
+            fn(cfg)
+
+
+def test_gain_ratio_just_above_underflow_returns():
+    # 2e-322 is subnormal, not 0: the closed form still returns a value
+    cfg = channel.from_snr(1e-161, 1e-161, 1, 1)
+    gamma, b_fb = region.b_fb_at_nf_sum_capacity(cfg)
+    assert math.isfinite(gamma) and math.isfinite(b_fb)
+    assert region.feedback_gain_ratio(cfg) >= 1.0
+
+
 @given(pos_snr, pos_snr, pos_snr, pos_snr)
 @settings(max_examples=1000, deadline=None)
 def test_gain_ratio_bounds(s11, s12, s21, s22):
@@ -525,7 +613,7 @@ def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
     cfg = channel.from_snr(s11, s12, s21, s22)
     recs = region.sample_boundary_records(cfg, feedback=fb, resolution=res)
     got = np.array([tuple(rec) for rec in recs])
-    want = pareto_corners(region._grid_boxes(cfg, fb, res))
+    want = pareto_corners(flat_grid(cfg, fb, res))
     # same rows in the same order, bit for bit
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -538,7 +626,7 @@ def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
 def test_b_order_is_stable_argsort(snr, fb, res):
     # at s21 = 0 every b ties, and SYM10 ties b across the beta1 <-> beta2
     # mirror; the unstable argsort's fix-up must give index order in a run
-    bb = region._grid_box_arrays(channel.from_snr(*snr), fb, res)[6]
+    bb = flat_grid(channel.from_snr(*snr), fb, res)[6]
     pts, nb = region._b_order(bb)
     want = np.argsort(-bb, kind="stable")
     assert pts.tolist() == want.tolist()
