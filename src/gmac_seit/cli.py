@@ -179,10 +179,6 @@ def _seed(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = channel.from_snr(*args.snr)
     beta1, beta2 = args.beta
-    if (args.rate is None) == (args.rate_frac is None):
-        print("simulate: give exactly one of --rate or --rate-frac",
-              file=sys.stderr)
-        return EXIT_USAGE
     seed = _seed(args)
     if args.rate is not None:
         r1, r2 = args.rate
@@ -195,9 +191,6 @@ def cmd_simulate(args) -> int:
         r2 = args.rate_frac * 0.5 * math.log2(1.0 + beta2 * cfg.snr12 * om)
     params = coder.SchemeParams(cfg=cfg, n=args.n, r1=r1, r2=r2,
                                 beta1=beta1, beta2=beta2, seed=seed)
-    # checked before SimConfig so that an infeasible target exits 3 even
-    # where SimConfig would first reject another field with exit 2
-    region._check_feasible_b(cfg, args.target_b)
     sc = mc.SimConfig(params=params, trials=args.trials,
                       target_b=args.target_b, epsilon=args.epsilon)
     report = mc.run(sc)
@@ -270,10 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=_snr_quad, required=True,
                    metavar="S11,S12,S21,S22")
     p.add_argument("--beta", type=_pair, required=True, metavar="B1,B2")
-    p.add_argument("--rate", type=_pair, default=None, metavar="R1,R2")
-    p.add_argument("--rate-frac", type=float, default=None,
-                   help="per-user rate as a fraction of the scheme's "
-                        "large-n rate limit")
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--rate", type=_pair, metavar="R1,R2")
+    grp.add_argument("--rate-frac", type=float,
+                     help="per-user rate as a fraction of the scheme's "
+                          "large-n rate limit")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None,
@@ -286,12 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentTypeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
         # overflow in the closed forms is reported once, by _write_table's
         # refusal of non-finite values, not as numpy warnings

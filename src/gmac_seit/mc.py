@@ -67,13 +67,15 @@ class SimConfig:
     correlation_times: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # first, so that an infeasible target is reported as such even
+        # where another field is also out of range
+        _check_feasible_b(self.params.cfg, self.target_b)
         if not 1 <= self.trials <= _MAX_TRIALS:
             raise ValueError(f"trials must lie in 1..{_MAX_TRIALS}")
         if not math.isfinite(self.target_b):
             raise ValueError("target_b must be finite")
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        _check_feasible_b(self.params.cfg, self.target_b)
         for t in self.correlation_times:
             if not 1 <= t <= self.params.n:
                 raise ValueError("correlation times must lie in 1..n")

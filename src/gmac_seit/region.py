@@ -638,7 +638,7 @@ def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,
                     boundary_table(cfg, feedback, resolution).tolist()))
 
 
-CSV_HEADER = "beta1,beta2,rho,r1,r2,b"
+CSV_HEADER = ",".join(BoundarySample._fields)
 
 
 def records_from_csv(fh) -> np.ndarray:

@@ -102,9 +102,15 @@ def test_norm_condition_rejected():
     with pytest.raises(channel.NormConditionError):
         channel.ChannelConfig(h11=0.9, h12=0.1, h21=0.9, h22=0.1,
                               p1=1.0, p2=1.0)
+    with pytest.raises(channel.NormConditionError, match="transmitter 2"):
+        channel.ChannelConfig(h11=0.1, h12=0.9, h21=0.1, h22=0.9,
+                              p1=1.0, p2=1.0)
 
 
 def test_invalid_fields_rejected():
+    with pytest.raises(ValueError, match="h11"):
+        channel.ChannelConfig(h11=-1.0, h12=0.5, h21=0.5, h22=0.5,
+                              p1=1.0, p2=1.0)
     with pytest.raises(ValueError):
         channel.ChannelConfig(h11=0.5, h12=0.5, h21=0.5, h22=0.5,
                               p1=-1.0, p2=1.0)

@@ -44,6 +44,13 @@ def test_region_csv(tmp_path):
     assert rows[k, 3] == 0.0 and rows[k, 4] == 0.0
 
 
+# The digests below hold the last bits of numpy's AVX-512 math on an x86-64
+# host whose numpy (2.4.6) dispatches to X86_V4, AVX512_ICL and AVX512_SPR:
+# there np.log2 differs from libm's log2 in a few hundred of 10^6
+# arguments.  Run with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR", np.log2 equals libm, and sym10_fb_res48, ratio_csv,
+# ratio_json and region_json_sym10_fb_res16 read other digests.
+
 # SHA-256 of region CSV output, recorded with the np.unique and per-row
 # staircase Pareto filter that preceded the blocked sweep
 REGION_GOLDEN = {
@@ -290,12 +297,16 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["region"])  # --snr missing
     assert exc.value.code == 2
-    assert run_cli(["simulate", "--snr", "10,10,10,10", "--beta", "1,1",
-                    "--rate", "0.1,0.1", "--rate-frac", "0.5",
-                    "--n", "10", "--trials", "2"]) == 2
-    assert run_cli(["simulate", "--snr", "10,10,10,10", "--beta", "1,1",
-                    "--rate", "0.1,0.1", "--n", "10", "--trials", "2",
-                    "--target-b", "50"]) == 3
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--snr", "10,10,10,10", "--beta", "1,1",
+                 "--rate", "0.1,0.1", "--rate-frac", "0.5",
+                 "--n", "10", "--trials", "2"])
+    assert exc.value.code == 2
+    # an infeasible energy target exits 3 even beside a bad trial count
+    for trials in ("2", "0"):
+        assert run_cli(["simulate", "--snr", "10,10,10,10", "--beta", "1,1",
+                        "--rate", "0.1,0.1", "--n", "10", "--trials", trials,
+                        "--target-b", "50"]) == 3, trials
     assert run_cli(["sumcap", "--snr", "10,10,10,10", "--points", "3",
                     "--out", str(tmp_path / "no" / "such" / "dir.csv")]) == 4
     with pytest.raises(SystemExit) as exc:
@@ -375,10 +386,15 @@ def test_exit_codes(tmp_path, capsys):
                               "correlation r = -1.00016 ")
     assert "[-1, 1]" in out.err and out.err.count("\n") == 1
     assert not (tmp_path / "sim.json").exists()
-    # a non-finite --verify-contains row is a usage error, not a verdict
-    for bad in ("inf", "nan"):
+    # a non-finite --verify-contains row, a five-name header and a
+    # five-column row are usage errors, not verdicts
+    header5 = region.CSV_HEADER.rsplit(",", 1)[0]
+    for bad, text in (("inf", f"{region.CSV_HEADER}\n0,0,0,inf,0,1\n"),
+                      ("nan", f"{region.CSV_HEADER}\n0,0,0,nan,0,1\n"),
+                      ("header5", f"{header5}\n0,0,0,0,0,1\n"),
+                      ("row5", f"{region.CSV_HEADER}\n0,0,0,0,1\n")):
         rows = tmp_path / f"{bad}.csv"
-        rows.write_text(f"{region.CSV_HEADER}\n0,0,0,{bad},0,1\n")
+        rows.write_text(text)
         capsys.readouterr()
         assert run_cli(["region", "--snr", "10,10,10,10", "--res", "4",
                         "--out", str(tmp_path / "region.csv"),
@@ -391,6 +407,15 @@ def test_exit_codes(tmp_path, capsys):
                     "--out", str(tmp_path / "region.csv"),
                     "--verify-contains", str(tmp_path / "missing.csv")]) == 4
     assert not (tmp_path / "region.csv").exists()
+    # blank lines in a --verify-contains file are skipped
+    rows = tmp_path / "blank.csv"
+    rows.write_text(f"{region.CSV_HEADER}\n\n0,0,0,0,0,1\n\n")
+    capsys.readouterr()
+    assert run_cli(["region", "--snr", "10,10,10,10", "--res", "4",
+                    "--out", str(tmp_path / "region.csv"),
+                    "--verify-contains", str(rows)]) == 0
+    assert capsys.readouterr().err == ("verify-contains: all 1 triplets "
+                                       "contained\n")
 
 
 def test_simulate_both_users_zero_snr(tmp_path):

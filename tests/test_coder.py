@@ -493,6 +493,8 @@ def test_error_bound_properties():
     assert all(x <= y + 1e-18 for x, y in zip(bounds, bounds[1:]))
     p0 = make_params(n=50, r1=0.0, r2=0.0)
     assert coder.error_bound(p0)[0] <= 1.0
+    with pytest.raises(ValueError, match="beta_i > 0"):
+        coder.error_bound(make_params(beta1=0.0))
     trace = coder.simulate_block(p0, *seeded_trial(p0, 0))
     assert not trace.error
 

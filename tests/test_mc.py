@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import energy_rate_moments
-from gmac_seit import channel, coder, mc
+from gmac_seit import channel, coder, mc, region
 
 SYM10 = channel.from_snr(10, 10, 10, 10)
 
@@ -110,6 +110,9 @@ def test_invalid_configs_rejected():
         make_sc(epsilon=-1.0)
     with pytest.raises(ValueError):
         make_sc(target_b=50.0)
+    # an infeasible target is named first, even beside a bad trial count
+    with pytest.raises(region.InfeasibleEnergyRateError):
+        make_sc(trials=0, target_b=50.0)
     with pytest.raises(ValueError):
         make_sc(correlation_times=(0,))
     with pytest.raises(ValueError):

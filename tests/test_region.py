@@ -95,6 +95,10 @@ def test_xi_infeasible():
     with pytest.raises(region.InfeasibleEnergyRateError):
         region.xi(cfg, 11.5)  # above 1 + s21 + s22 with degenerate product
     assert region.xi(cfg, 11.0) == 0.0
+    # within the feasibility tolerance of b_max = 6, but xi's formula would
+    # divide by SNR21*SNR22 = 0
+    with pytest.raises(region.InfeasibleEnergyRateError, match="= 0"):
+        region.xi(channel.from_snr(10, 10, 0, 5), 6 + 1e-9)
 
 
 @given(pos_unit, pos_unit, st.floats(min_value=0.0, max_value=41.0))
@@ -107,6 +111,11 @@ def test_rho_min_matches_xi_at_full_split(b1, b2, b):
 def test_rho_min_hand_values():
     assert region.rho_min(SYM10, 0.5, 0.5, 30.0) == 0.0
     assert region.rho_min(SYM10, 1.0, 1.0, 21.0) == 0.0
+    # at SNR21 = 0 no correlation adds energy: rho_min saturates at 1
+    assert region.rho_min(channel.from_snr(10, 10, 0, 5), 0.5, 0.5,
+                          6 + 1e-9) == 1.0
+    with pytest.raises(ValueError, match="beta1 > 0"):
+        region.rho_min(SYM10, 0.0, 0.5, 21.0)
 
 
 # --- region boxes ------------------------------------------------------------
@@ -193,6 +202,8 @@ def test_contains_q5_with_and_without_feedback():
 
 def test_contains_rejects_absurd_point():
     assert not region.contains(SYM10, region.RateTriplet(10.0, 10.0, 1.0))
+    with pytest.raises(ValueError, match="grid_n"):
+        region.contains(SYM10, region.RateTriplet(0.0, 0.0, 1.0), grid_n=1)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])
@@ -432,6 +443,8 @@ def test_sum_capacity_fb_values():
     assert region.sum_capacity_fb(SYM10, 0.0) == \
         pytest.approx(0.5 * math.log2(21 + 20 * rs))
     assert region.sum_capacity_fb(SYM10, 41.0) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="nonnegative"):
+        region.sum_capacity_fb(SYM10, -1.0)
 
 
 def test_sum_capacity_nf_values():
@@ -440,6 +453,8 @@ def test_sum_capacity_nf_values():
     assert region.sum_capacity_nf(SYM10, 31.0) == \
         pytest.approx(0.5 * math.log2(11))
     assert region.sum_capacity_nf(SYM10, 41.0) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="nonnegative"):
+        region.sum_capacity_nf(SYM10, -1.0)
 
 
 def test_sum_capacity_continuity_at_edges():
@@ -482,6 +497,8 @@ def test_time_sharing_strictly_below_nf_capacity():
 def test_time_sharing_infeasible():
     with pytest.raises(region.InfeasibleEnergyRateError):
         region.time_sharing_sum_rate(SYM10, 42.0)
+    with pytest.raises(ValueError, match="grid_n"):
+        region.time_sharing_sum_rate(SYM10, 15.0, grid_n=1)
 
 
 # --- feedback energy gain ------------------------------------------------------
