@@ -13,9 +13,10 @@ arrays peak under _CHUNK_BYTES (3 MB) whatever the trial count; that is
 404 trials at n = 100 and 4 at n = 10^4.  The coefficient schedule and
 rho* are computed once per run.  Since every trial draws only from its
 own (seed, trial) streams, the report does not depend on how the trials
-are chunked.  A chunk's seeding is array work: _spawn_states
-hashes the run entropy once and the chunk's spawn keys as uint32 vectors,
-giving each trial's SeedSequence state without building the SeedSequence.
+are chunked.  A chunk's seeding is array work: numpy builds the run's
+SeedSequence pool once and _spawn_states mixes the chunk's spawn keys into
+it as uint32 vectors, giving each trial's SeedSequence state without
+building the trial's SeedSequence.
 Within a chunk, each trial's noise is one draw, its PAM points are one
 vector op per user, the per-use loop runs on time-major rows across
 trials, and the decode, the energy rate and the energies are array work
@@ -122,65 +123,40 @@ class SimReport:
 
 
 def _hashmix(value, const: int, mult: int):
-    """SeedSequence's hashmix of value (an int or a uint32 array) under hash
-    constant const; returns the hash and the next constant."""
+    """SeedSequence's hashmix of value (a uint32 array) under hash constant
+    const; returns the hash and the next constant."""
     nxt = const * mult & _MASK32
     value = (value ^ const) * nxt & _MASK32
     return value ^ value >> 16, nxt
 
 
 def _mix(x: int, y):
-    """SeedSequence's mix of pool word x (an int) with y (an int or a uint32
-    array)."""
+    """SeedSequence's mix of pool word x (an int) with y (a uint32 array)."""
     value = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
     return value ^ value >> 16
-
-
-def _pool_prefix(seed: int) -> tuple[list[int], int]:
-    """SeedSequence(entropy=seed, spawn_key=(t,)) pool before t is mixed in.
-
-    Returns the four pool words and the hash constant that mixing t starts
-    from; neither depends on t.  The run entropy is seed's little-endian
-    uint32 words, zero-padded to the pool size because a spawn key follows.
-    """
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (4 - len(words))
-    const = _INIT_A
-    pool = []
-    for w in words[:4]:
-        word, const = _hashmix(w, const, _MULT_A)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                word, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], word)
-    for w in words[4:]:
-        for dst in range(4):
-            word, const = _hashmix(w, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], word)
-    return pool, const
 
 
 def _spawn_states(seed: int, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, 4) uint64 rows, row j being
     SeedSequence(entropy=seed, spawn_key=(lo + j,)).generate_state(4, np.uint64).
 
-    The spawn key, the last entropy word, is hashed into the pool across all
-    trials at once in uint32 arithmetic, then the pool is expanded into the
-    eight output words.
+    numpy builds the run's pool, SeedSequence(seed).pool; each trial's spawn
+    key, the last entropy word, is then mixed into it across all trials at
+    once in uint32 arithmetic, and the pool is expanded into the eight
+    output words.
     """
     if not 0 <= lo <= hi <= _MAX_TRIALS:
         raise ValueError(f"trial indices must lie in 0..{_MAX_TRIALS - 1}")
-    prefix, const = _pool_prefix(seed)
+    from numpy.random import SeedSequence  # not at import: see _state_seq
+    # the pool took 4 * max(4, w) hashmix calls for seed's w uint32 words:
+    # one per word of the pool size 4 (a 0 for each missing word), 12 for
+    # the cross-mix and 4 per word past the fourth; the spawn key's first
+    # hashmix starts from the constant after them
+    words = max(4, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
     t = np.arange(lo, hi, dtype=np.uint32)
     pool = []
-    for x in prefix:
+    for x in SeedSequence(seed).pool.tolist():
         key, const = _hashmix(t, const, _MULT_A)
         pool.append(_mix(x, key))
     out = np.empty((hi - lo, 8), dtype=np.uint32)

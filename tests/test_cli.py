@@ -6,6 +6,8 @@ import math
 import re
 import resource
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -629,6 +631,17 @@ def readme_commands():
                 if "gmac-seit" in words:
                     commands.append(words[words.index("gmac-seit") + 1:])
     return commands
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # region, sumcap and ratio never draw; loading numpy.random would add
+    # its import time to every one of their runs
+    src = str(Path(cli.__file__).parents[1])
+    probe = ("import sys, gmac_seit.cli; "
+             "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_readme_commands_parse():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import energy_rate_moments
@@ -175,6 +175,19 @@ def test_chunks_hold_at_least_the_float_budget_trials():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**256 - 1),
        lo=st.sampled_from([0, 1, 2**32 - 1]))
+# the entropy word-count boundaries: 1, 2, 4, 5 and 8 uint32 words
+@example(seed=0, lo=0)
+@example(seed=0, lo=2**32 - 1)
+@example(seed=2**32 - 1, lo=0)
+@example(seed=2**32 - 1, lo=2**32 - 1)
+@example(seed=2**32, lo=0)
+@example(seed=2**32, lo=2**32 - 1)
+@example(seed=2**128 - 1, lo=0)
+@example(seed=2**128 - 1, lo=2**32 - 1)
+@example(seed=2**128, lo=0)
+@example(seed=2**128, lo=2**32 - 1)
+@example(seed=2**256 - 1, lo=0)
+@example(seed=2**256 - 1, lo=2**32 - 1)
 def test_spawn_states_match_seed_sequence(seed, lo):
     hi = min(lo + 3, 2**32)
     want = [np.random.SeedSequence(entropy=seed, spawn_key=(t,))
@@ -182,6 +195,12 @@ def test_spawn_states_match_seed_sequence(seed, lo):
     got = mc._spawn_states(seed, lo, hi)
     assert got.dtype == np.uint64
     assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_spawn_states_refuse_bad_trial_ranges():
+    for lo, hi in ((5, 4), (2**32 - 1, 2**32 + 1)):
+        with pytest.raises(ValueError, match="trial indices"):
+            mc._spawn_states(0, lo, hi)
 
 
 def test_big_seed_report_over_three_chunks(monkeypatch):

@@ -9,8 +9,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gmac_seit"
 ALLOWED = {
     "rho_min": "smallest IC correlation for a given b; exact-in-rho region "
                "membership will call it",
-    "error_bound": "decoding-error bound; the simulate report will carry it "
-                   "next to the measured error rate",
+    "error_bound": "decoding-error bound; test_mc and acceptance compare "
+                   "Monte Carlo error rates against it",
     "simulate_block": "batch-of-one seam the oracle tests drive with "
                       "FixedDraws",
     "sample_boundary_records": "boundary_table's rows as records; the tests "
