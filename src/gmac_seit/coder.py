@@ -298,6 +298,13 @@ def coeff_schedule(params: SchemeParams) -> CoeffSchedule:
 # test checks it with tracemalloc
 PEAK_FLOATS_PER_USE = 9
 
+# Bytes per trial of the Python objects that simulate_batch returns besides
+# its arrays: the m_hat tuple and its two ints, the b_hat and energy floats,
+# and five list slots (the m_true tuples are the caller's).  Below n ~ 10
+# they outgrow the slack in PEAK_FLOATS_PER_USE, so mc counts them in its
+# chunk budget as well
+TRIAL_OBJECT_BYTES = 56 + 2 * 28 + 3 * 24 + 5 * 8
+
 # the tail works on 1/_TAIL_SPLIT of the trials at a time
 _TAIL_SPLIT = 8
 

@@ -8,15 +8,16 @@ serially in trial order.
 
 run streams the trials through coder.simulate_batch in consecutive chunks
 of nearly equal size.  The chunk budget is in bytes: a chunk holds at most
-_CHUNK_BYTES // (8 PEAK_FLOATS_PER_USE (n + 3)) trials, so the engine's
-arrays peak under _CHUNK_BYTES (3 MB) whatever the trial count; that is
-404 trials at n = 100 and 4 at n = 10^4.  The coefficient schedule and
-rho* are computed once per run.  Since every trial draws only from its
-own (seed, trial) streams, the report does not depend on how the trials
-are chunked.  A chunk's seeding is array work: numpy builds the run's
-SeedSequence pool once and _spawn_states mixes the chunk's spawn keys into
-it as uint32 vectors, giving each trial's SeedSequence state without
-building the trial's SeedSequence.
+_CHUNK_BYTES // (8 PEAK_FLOATS_PER_USE (n + 3) + TRIAL_OBJECT_BYTES)
+trials, so the engine's arrays and the Python objects it returns peak
+under _CHUNK_BYTES (3 MB) whatever the trial count and block length; that
+is 392 trials at n = 100, 5859 at n = 1 and 4 at n = 10^4.  The
+coefficient schedule and rho* are computed once per run.  Since every
+trial draws only from its own (seed, trial) streams, the report does not
+depend on how the trials are chunked.  A chunk's seeding is array work:
+numpy builds the run's SeedSequence pool once and _spawn_states mixes the
+chunk's spawn keys into it as uint32 vectors, giving each trial's
+SeedSequence state without building the trial's SeedSequence.
 Within a chunk, each trial's noise is one draw, its PAM points are one
 vector op per user, the per-use loop runs on time-major rows across
 trials, and the decode, the energy rate and the energies are array work
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coder import (PEAK_FLOATS_PER_USE, SchemeParams, coeff_schedule,
-                    simulate_batch)
+from .coder import (PEAK_FLOATS_PER_USE, TRIAL_OBJECT_BYTES, SchemeParams,
+                    coeff_schedule, simulate_batch)
 from .region import _boxes, _check_feasible_b
 
 # engine memory per chunk: the ~3 MB a budget of 2^15 floats per
@@ -208,7 +209,8 @@ def _chunk_inputs(params: SchemeParams, lo: int, hi: int):
 
 def _chunks(trials: int, n: int) -> list[tuple[int, int]]:
     """Consecutive [lo, hi) trial ranges of near-equal size within the budget."""
-    per_chunk = _CHUNK_BYTES // (8 * PEAK_FLOATS_PER_USE * (n + 3))
+    per_chunk = _CHUNK_BYTES // (8 * PEAK_FLOATS_PER_USE * (n + 3)
+                                 + TRIAL_OBJECT_BYTES)
     count = -(-trials // max(1, per_chunk))
     return [(trials * i // count, trials * (i + 1) // count)
             for i in range(count)]

@@ -19,11 +19,16 @@ hit; on a miss it refines from the best point of every slice.
 The boundary is a 3-D maxima sweep over the two sum-rate corners of each
 grid point's box, one row per point where the two are equal (a slack sum
 bound).  The rows are ordered by (-b, -r2, -r1, row index): the grid is
-sorted by -b with an unstable SIMD argsort, each run of equal b is put
-back in index order, and cheap stable passes order the ties in r2 and
-r1.  A block-wise sweep keeps the rows that no earlier row dominates, and
-only the kept rows are gathered, into one (K, 6) array that the CLI writes
-formatting each distinct value of a column once.
+sorted by -b with an unstable SIMD argsort and each run of equal b is put
+back in index order.  The rest streams through the b-sorted points in
+chunks of whole runs of equal b, about a sixteenth of the grid each:
+a chunk's corners are formed from the r1 and r2 planes and the rsum grid,
+cheap stable passes order its ties in r2 and r1, and a block-wise sweep
+keeps the rows that no earlier row dominates, its staircase carried from
+chunk to chunk.  So only b, rsum and the b order are grid-sized; where
+every b is equal (SNR21 = 0, say) the one chunk is the whole grid.  The
+kept rows form one (K, 6) array that the CLI writes formatting each
+distinct value of a column once.
 """
 from __future__ import annotations
 
@@ -482,7 +487,8 @@ _PARETO_LIVE = 128  # most rows a block compares pairwise
 _PARETO_UPPER = np.triu(np.ones((_PARETO_LIVE, _PARETO_LIVE), bool), 1)
 
 
-def _pareto_filter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _pareto_filter(xs: np.ndarray, ys: np.ndarray,
+                   stair: list | None = None) -> np.ndarray:
     """Positions of the rows maximal in (r1, r2, b), given the r1 (xs) and
     r2 (ys) of rows already ordered by (-b, -r2, -r1), ties in row index.
 
@@ -492,11 +498,16 @@ def _pareto_filter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     earlier blocks, then pairwise among the surviving rows of its own
     block.  A block ends early at its _PARETO_LIVE-th survivor, so the
     pairwise test stays small however many rows the staircase lets through.
+
+    The rows may come in pieces, one call each: stair, a list that starts
+    empty, then carries the staircase of every earlier piece's kept rows
+    from call to call, and each call returns positions within its piece.
+    Without stair the staircase starts empty.
     """
     keep = np.zeros(len(xs), dtype=bool)
     # maxima of the kept (r1, r2): fx ascending, fy strictly decreasing,
     # with a -inf sentinel past the last step
-    fx, fy = np.empty(0), np.array([-np.inf])
+    fx, fy = stair or (np.empty(0), np.array([-np.inf]))
     start = 0
     while start < len(xs):
         x = xs[start:start + _PARETO_BLOCK]
@@ -525,6 +536,8 @@ def _pareto_filter(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         step[1:] = my[1:] > np.maximum.accumulate(my)[:-1]
         fx = mx[step][::-1]
         fy = np.append(my[step][::-1], -np.inf)
+    if stair is not None:
+        stair[:] = fx, fy
     return np.flatnonzero(keep)
 
 
@@ -536,8 +549,9 @@ def _b_order(bb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (run of equal b) * len(bb) + point then puts each run in index order.
     """
     n = len(bb)
-    pts = np.argsort(-bb)
-    nb = -bb[pts]
+    nb = np.negative(bb)
+    pts = np.argsort(nb)
+    nb = nb[pts]
     run = np.zeros(n, dtype=np.int64)
     np.cumsum(nb[1:] != nb[:-1], out=run[1:])
     run *= n
@@ -545,6 +559,90 @@ def _b_order(bb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pts.sort()
     pts -= run
     return pts, nb
+
+
+def _chunk_points(n: int) -> int:
+    """Fewest of the n grid points that a chunk of boundary_table holds: a
+    sixteenth of the grid, at least one _PARETO_BLOCK.  A chunk then runs
+    on to the end of its run of equal b."""
+    return max(-(-n // 16), _PARETO_BLOCK)
+
+
+def _sort_r1_ties(tie: np.ndarray, xs: np.ndarray, src: np.ndarray) -> None:
+    """Sort each run of equal (b, r2) rows by -r1, stably, where r1 rises
+    somewhere in it; tie[i] says rows i and i + 1 are in one run.  xs
+    (the rows' r1) and src are permuted alike, in place."""
+    bad = np.flatnonzero(tie & (xs[1:] > xs[:-1]))
+    if not len(bad):
+        return
+    run = np.zeros(len(xs), dtype=np.int64)
+    np.cumsum(~tie, out=run[1:])
+    rises = np.bincount(run[bad], minlength=run[-1] + 1) > 0  # by run id
+    idx = np.flatnonzero(rises[run])
+    key = np.empty(len(idx), dtype=complex)
+    key.real, key.imag = run[idx], -xs[idx]
+    del run
+    s = idx[np.argsort(key, kind="stable")]
+    src[idx], xs[idx] = src[s], xs[s]
+
+
+def _boundary_chunk(r1b, r2b, rsb, p, nbc, stair):
+    """(points, r1, r2, -b) of the kept rows of grid points p, one chunk of
+    boundary_table: p in b order with nbc = -b, whole runs of equal b.
+
+    Each array is deleted once used, as one run of equal b can make the
+    chunk the whole grid."""
+    # the point (i1 * res + i2) * n_rho + k has flat position
+    # i1 * n_rho + k in r1b and i2 * n_rho + k in r2b
+    n_rho = r2b.shape[1]
+    i1, i2k = np.divmod(p, r2b.size)
+    r2p = r2b.take(i2k)
+    i1 *= n_rho
+    i1 += np.remainder(i2k, n_rho, out=i2k)
+    r1p = r1b.take(i1)
+    del i1, i2k
+    # the two sum-rate corners of each box's pentagon, (r1_max, c1) and
+    # (c2, r2_max), each paired with b_max; the zero-rate corners
+    # (r1_max, 0) and (0, r2_max) are weakly dominated by them since
+    # c1, c2 >= 0
+    c1 = rsb.take(p)
+    c2 = c1 - r2p
+    c1 -= r1p
+    np.clip(c1, 0.0, r2p, out=c1)
+    np.clip(c2, 0.0, r1p, out=c2)
+    # rows 2j and 2j + 1 of the chunk's layout are the corners of point
+    # p[j], so they stand in (-b, row index) order; where c1 == r2_max the
+    # second corner is no row
+    m = len(p)
+    row = np.ones(2 * m, dtype=bool)
+    np.not_equal(c1, r2p, out=row[1::2])
+    x = np.empty(2 * m)
+    x[0::2], x[1::2] = r1p, c2
+    del r1p, c2
+    # complex keys sort by the real part, then the imaginary part
+    key = np.empty(2 * m, dtype=complex)
+    key.real[0::2] = key.real[1::2] = nbc
+    np.negative(c1, out=key.imag[0::2])
+    np.negative(r2p, out=key.imag[1::2])
+    del c1, r2p
+    src = np.flatnonzero(row)  # layout position of each row
+    x, key = x[row], key[row]
+    del row
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    xs = x[order]
+    del x
+    src = src[order]  # layout position of each row, in sorted order
+    del order
+    ys = -key.imag
+    tie = key[1:] == key[:-1]
+    del key
+    # rows of equal (b, r2) still stand in row-index order
+    _sort_r1_ties(tie, xs, src)
+    del tie
+    kept = _pareto_filter(xs, ys, stair)
+    j = src[kept] >> 1
+    return p[j], xs[kept], ys[kept], nbc[j]
 
 
 def boundary_table(cfg: ChannelConfig, feedback: bool = True,
@@ -558,77 +656,48 @@ def boundary_table(cfg: ChannelConfig, feedback: bool = True,
     order (-b, -r2, -r1, row index).  Where a point's sum bound is slack
     (c1 == r2_max), its first corner (r1_max, r2_max) weakly dominates the
     second and precedes it, so the second is never kept and is not made a
-    row.  The order is built in three passes: grid points by -b, with equal
-    b in index order; the rows of equal b by -r2, stably (cheap, as the
-    rows come nearly sorted); and, only inside runs of equal (b, r2) whose
-    r1 is out of order, those rows by -r1, stably.
+    row.
+
+    Only b, rsum and the b order are grid-sized; r1 and r2 stay on their
+    (beta1, rho) and (beta2, rho) planes.  The grid points, sorted by -b
+    with equal b in index order (_b_order), go through the rest in chunks
+    of whole runs of equal b (_chunk_points), the sweep's staircase carried
+    from chunk to chunk.  Every ordering key compares only rows of one run
+    of equal b, and a row's verdict does not depend on where a block
+    starts, so the chunks give the rows, and the order, of one pass over
+    the whole grid.  A chunk is ordered in two passes: its rows by (-b,
+    -r2), stably (cheap, as the rows come nearly sorted); and, only inside
+    runs of equal (b, r2) whose r1 is out of order, those rows by -r1,
+    stably.  Where every b is equal (SNR21 = 0, say) the one chunk is the
+    whole grid.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     g = np.linspace(0.0, 1.0, resolution)
     rho = g if feedback else np.zeros(1)
-    shape = (resolution, resolution, len(rho))
-    # the first grid-sized array: a grid too large to allocate fails here,
-    # before any part of it is computed
-    r1b = np.empty(shape)
+    plane = resolution * len(rho)  # grid points per beta1 value
+    # a grid too large to allocate fails here, before any part is computed
+    np.empty((resolution, plane))
     with np.errstate(over="ignore", invalid="ignore"):
-        boxes = _boxes(cfg, g[:, None, None], g[:, None], rho)
-    if not all(np.isfinite(a).all() for a in boxes):
+        r1b, r2b, rsb, bb = _boxes(cfg, g[:, None, None], g[:, None], rho)
+    if not all(np.isfinite(a).all() for a in (r1b, r2b, rsb, bb)):
         raise ValueError("region bounds overflow float64 at these SNRs")
-    r1b[...] = boxes[0]
-    r1b = r1b.ravel()
-    r2b, rsb, bb = (np.broadcast_to(a, shape).ravel() for a in boxes[1:])
-    del boxes
-    n = len(bb)
-    pts, nb = _b_order(bb)
-    r1p, r2p, rsp = r1b[pts], r2b[pts], rsb[pts]
-    del r1b, r2b, rsb
-    # the two sum-rate corners of each box's pentagon, (r1_max, c1) and
-    # (c2, r2_max), each paired with b_max; the zero-rate corners
-    # (r1_max, 0) and (0, r2_max) are weakly dominated by them since
-    # c1, c2 >= 0
-    c1 = np.clip(rsp - r1p, 0.0, r2p)
-    c2 = np.clip(rsp - r2p, 0.0, r1p)
-    del rsp
-    # rows 2j and 2j + 1 of the b-sorted layout are the corners of point
-    # pts[j], so they stand in (-b, row index) order; where c1 == r2_max
-    # the second corner is no row
-    row = np.ones(2 * n, dtype=bool)
-    row[1::2] = c1 != r2p
-    x = np.empty(2 * n)
-    x[0::2], x[1::2] = r1p, c2
-    # complex keys sort by the real part, then the imaginary part
-    key = np.empty(2 * n, dtype=complex)
-    key.real[0::2] = key.real[1::2] = nb
-    key.imag[0::2], key.imag[1::2] = -c1, -r2p
-    del r1p, r2p, c1, c2, nb
-    src = np.flatnonzero(row)  # layout position of each row
-    x, key = x[row], key[row]
-    del row
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    xs = x[order]
-    del x
-    ys, nbs = -key.imag, key.real
-    # rows of equal (b, r2) still stand in row-index order; the runs of
-    # them where r1 rises somewhere get a stable sort by -r1
-    tie = (ys[1:] == ys[:-1]) & (nbs[1:] == nbs[:-1])
-    bad = np.flatnonzero(tie & (xs[1:] > xs[:-1]))
-    if len(bad):
-        run = np.concatenate([[0], np.cumsum(~tie)])
-        rises = np.bincount(run[bad], minlength=run[-1] + 1) > 0  # by run id
-        idx = np.flatnonzero(rises[run])
-        key = np.empty(len(idx), dtype=complex)
-        key.real, key.imag = run[idx], -xs[idx]
-        s = idx[np.argsort(key, kind="stable")]
-        order[idx], xs[idx] = order[s], xs[s]
-    del tie, key, nbs
-    kept = _pareto_filter(xs, ys)
-    pt = pts[src[order[kept]] >> 1]
-    i1, rest = np.divmod(pt, resolution * len(rho))
-    i2, k = np.divmod(rest, len(rho))
-    return np.column_stack([g[i1], g[i2], rho[k], xs[kept], ys[kept],
-                            bb[pt]])
+    pts, nb = _b_order(bb.ravel())
+    del bb
+    n = len(pts)
+    size = _chunk_points(n)
+    stair = []
+    parts = []
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(nb, nb[min(n, lo + size) - 1], "right"))
+        pt, r1k, r2k, nbk = _boundary_chunk(r1b, r2b, rsb, pts[lo:hi],
+                                            nb[lo:hi], stair)
+        i1, rest = np.divmod(pt, plane)
+        i2, k = np.divmod(rest, len(rho))
+        parts.append(np.column_stack([g[i1], g[i2], rho[k], r1k, r2k, -nbk]))
+        lo = hi
+    return np.concatenate(parts)
 
 
 def sample_boundary_records(cfg: ChannelConfig, feedback: bool = True,

@@ -154,7 +154,8 @@ def report_json(sc):
 def test_report_independent_of_chunking(monkeypatch):
     sc = make_sc(n=30, trials=9, r=1.0, target_b=35.0,
                  correlation_times=(1, 15, 30))
-    trial_bytes = 8 * coder.PEAK_FLOATS_PER_USE * (sc.params.n + 3)
+    trial_bytes = (8 * coder.PEAK_FLOATS_PER_USE * (sc.params.n + 3)
+                   + coder.TRIAL_OBJECT_BYTES)
     want = report_json(sc)
     for budget, sizes in ((1, [1] * 9),  # one trial per chunk
                           (8 * trial_bytes, [4, 5]),  # trials = chunk + 1
@@ -170,6 +171,10 @@ def test_chunks_hold_at_least_the_float_budget_trials():
     # budget holds at least as many
     assert mc._chunks(318, 100) == [(0, 318)]
     assert mc._chunks(3, 10_000) == [(0, 3)]
+    # the benchmark's mc workloads: 1000 trials at n = 100 in three chunks,
+    # 10 at n = 2000 in one
+    assert mc._chunks(1000, 100) == [(0, 333), (333, 666), (666, 1000)]
+    assert mc._chunks(10, 2000) == [(0, 10)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,7 +216,8 @@ def test_big_seed_report_over_three_chunks(monkeypatch):
     sc = mc.SimConfig(params=params, trials=10, target_b=35.0,
                       correlation_times=(1, 30))
     monkeypatch.setattr(mc, "_CHUNK_BYTES",
-                        4 * 8 * coder.PEAK_FLOATS_PER_USE * (params.n + 3))
+                        4 * (8 * coder.PEAK_FLOATS_PER_USE * (params.n + 3)
+                             + coder.TRIAL_OBJECT_BYTES))
     assert mc._chunks(sc.trials, params.n) == [(0, 3), (3, 6), (6, 10)]
     assert hashlib.sha256(report_json(sc).encode()).hexdigest() == \
         "2cf5c5acf3742fdfa226d6c83a683e5bf4bd5195ef8cd1e1cf36d3260757805d"

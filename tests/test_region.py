@@ -681,14 +681,25 @@ def pareto_keep_brute_force(xs, ys):
 
 
 def _pareto_cases():
+    """(xs, ys, cuts): rows for _pareto_filter, and where to cut them into
+    2 to 5 pieces for a sweep that carries its staircase across calls."""
     live, block = region._PARETO_LIVE, region._PARETO_BLOCK
     rng = np.random.default_rng(3)
+    pieces, cut_rng = iter([2, 3, 4, 5] * 3), np.random.default_rng(4)
+
+    def case(xs, ys, name):
+        # cut at the first block's end, then after one row, then anywhere
+        k = next(pieces)
+        cuts = {block, block + 1}
+        while len(cuts) < k - 1:
+            cuts.add(int(cut_rng.integers(1, len(xs))))
+        return pytest.param(xs, ys, sorted(cuts)[:k - 1], id=name)
+
     up = np.arange(2 * block + 37, dtype=float)
     # every row survives, so every block ends at its live-th survivor
-    yield pytest.param(up, up[::-1].copy(), id="antichain")
-    yield pytest.param(up[::-1].copy(), up, id="antichain_reversed")
-    yield pytest.param(np.full(block + 5, 0.5), np.full(block + 5, 0.5),
-                       id="all_equal")
+    yield case(up, up[::-1].copy(), "antichain")
+    yield case(up[::-1].copy(), up, "antichain_reversed")
+    yield case(np.full(block + 5, 0.5), np.full(block + 5, 0.5), "all_equal")
     # the first block ends at its live-th row; the second holds exactly
     # live (then live + 1) rows right of that staircase, shuffled among
     # copies of the staircase's own rows
@@ -697,38 +708,62 @@ def _pareto_cases():
         j = np.arange(k, dtype=float)
         dead = rng.integers(0, live, block - k)
         p = rng.permutation(block)
-        yield pytest.param(
+        yield case(
             np.concatenate([i, np.concatenate([1000.0 + j, i[dead]])[p]]),
             np.concatenate([live - 1.0 - i,
                             np.concatenate([-j, live - 1.0 - i[dead]])[p]]),
-            id=f"block_of_{k}_live")
+            f"block_of_{k}_live")
     # many ties on a coarse grid, staircase carried over several blocks
     for seed in range(3):
         r = np.random.default_rng(seed)
-        yield pytest.param(r.integers(0, 40, 3 * block).astype(float),
-                           r.integers(0, 40, 3 * block).astype(float),
-                           id=f"coarse_{seed}")
+        yield case(r.integers(0, 40, 3 * block).astype(float),
+                   r.integers(0, 40, 3 * block).astype(float),
+                   f"coarse_{seed}")
 
 
-@pytest.mark.parametrize("xs,ys", _pareto_cases())
-def test_pareto_filter_matches_brute_force(xs, ys):
-    got = region._pareto_filter(xs, ys)
-    assert got.tolist() == pareto_keep_brute_force(xs, ys).tolist()
+@pytest.mark.parametrize("xs,ys,cuts", _pareto_cases())
+def test_pareto_filter_matches_brute_force(xs, ys, cuts):
+    want = pareto_keep_brute_force(xs, ys).tolist()
+    assert region._pareto_filter(xs, ys).tolist() == want
+    # the same rows in pieces, the staircase carried from piece to piece
+    stair = []
+    got = [lo + region._pareto_filter(xs[lo:hi], ys[lo:hi], stair)
+           for lo, hi in zip([0] + cuts, cuts + [len(xs)])]
+    assert np.concatenate(got).tolist() == want
 
 
-@pytest.mark.parametrize("cfg", [SYM10, channel.from_snr(10, 10, 0, 10)])
+@pytest.mark.parametrize("cfg", [SYM10, channel.from_snr(10, 10, 0, 10),
+                                 channel.from_snr(10, 3, 2, 5)])
 def test_sample_boundary_memory_per_grid_point(cfg):
-    # no (2*res^3, 6) row matrix, and no pairwise mask that grows with a
-    # run of equal b (every b is equal at s21 = 0)
-    res = 24
+    # only b, rsum and the b order are grid-sized: no (2*res^3, 6) row
+    # matrix, and the chunks of rows are a sixteenth of the grid.  At
+    # s21 = 0 every b is equal, so the one chunk holds the whole grid
+    one_run = cfg.snr21 == 0.0
     region.sample_boundary_records(cfg, True, 4)  # warm up lazy imports
-    tracemalloc.start()
-    try:
-        region.sample_boundary_records(cfg, True, res)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 400 * res**3
+    for res, bound in [(24, 160)] if one_run else [(24, 64), (48, 64)]:
+        tracemalloc.start()
+        try:
+            region.sample_boundary_records(cfg, True, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * res**3, res
+
+
+@pytest.mark.parametrize("snr", [(10, 10, 10, 10), (10, 3, 2, 5),
+                                 (10, 10, 0, 10)])
+@pytest.mark.parametrize("fb", [True, False])
+def test_boundary_table_does_not_depend_on_chunks(snr, fb, monkeypatch):
+    # SYM10 ties b across the beta1 <-> beta2 mirror, and at s21 = 0 every
+    # b ties; chunks of one grid point hold one run of equal b each
+    cfg = channel.from_snr(*snr)
+    res_list = (5, 17, 24)
+    want = [region.boundary_table(cfg, fb, res).tobytes() for res in res_list]
+    for size in (1, region._PARETO_BLOCK):
+        monkeypatch.setattr(region, "_chunk_points", lambda n: size)
+        got = [region.boundary_table(cfg, fb, res).tobytes()
+               for res in res_list]
+        assert got == want, size
 
 
 @given(snr_range, snr_range, snr_range, snr_range, st.booleans(),
