@@ -8,6 +8,7 @@ h1i^2 + h2i^2 <= 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 _NORM_TOL = 1e-12
@@ -90,12 +91,17 @@ def from_snr(snr11: float, snr12: float, snr21: float, snr22: float,
                          noise_correlation=noise_correlation)
 
 
+def _sqrt_product(a: float, b: float) -> float:
+    """sqrt(a * b), as sqrt(a) * sqrt(b) where a * b overflows, or underflows
+    while both factors are positive, as the geometric mean does not."""
+    prod = a * b
+    if math.isinf(prod) or (prod < sys.float_info.min
+                            and a > 0.0 and b > 0.0):
+        return math.sqrt(a) * math.sqrt(b)
+    return math.sqrt(prod)
+
+
 def max_energy_rate(cfg: ChannelConfig) -> float:
     """Largest feasible average energy rate: fully correlated max-power inputs."""
     s21, s22 = cfg.snr21, cfg.snr22
-    prod = s21 * s22
-    if math.isfinite(prod):
-        cross = math.sqrt(prod)
-    else:  # the product overflows where the geometric mean does not
-        cross = math.sqrt(s21) * math.sqrt(s22)
-    return 1.0 + s21 + s22 + 2.0 * cross
+    return 1.0 + s21 + s22 + 2.0 * _sqrt_product(s21, s22)

@@ -9,12 +9,13 @@ piecewise sum-capacity formulas with and without feedback, a time-sharing
 baseline, the feedback energy-gain analytics, and the Pareto boundary
 sample behind the region CSV.
 
-Both grids, membership's and the boundary's, are _boxes on broadcast
-(beta1, beta2, rho) axes, never a meshgrid: r1 depends on (beta1, rho)
-and r2 on (beta2, rho) only, so only rsum and b are full grids.  The
-membership grid is cached rho-major.  contains tests it in blocks of 1, 1,
-2, 4, ... rho slices from rho = 0 up and stops at the first block with a
-hit; on a miss it refines from the best point of every slice.
+Both grids, membership's and the boundary's, are one builder's _boxes on
+broadcast (beta1, beta2, rho) axes, never a meshgrid, refused where a
+bound overflows float64: r1 depends on (beta1, rho) and r2 on (beta2,
+rho) only, so only rsum and b are full grids.  The membership grid is
+cached rho-major.  contains tests it in blocks of 1, 1, 2, 4, ... rho
+slices from rho = 0 up and stops at the first block with a hit; on a
+miss it refines from the best point of every slice.
 
 The boundary is a 3-D maxima sweep over the two sum-rate corners of each
 grid point's box, one row per point where the two are equal (a slack sum
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelConfig, max_energy_rate
+from .channel import ChannelConfig, max_energy_rate, _sqrt_product
 
 log2 = math.log2
 
@@ -132,27 +133,21 @@ def solve_rho_star(cfg: ChannelConfig, beta1: float, beta2: float) -> float:
 # energy-rate constraints
 
 
-def _check_feasible_b(cfg: ChannelConfig, b: float) -> float:
+def _check_feasible_b(cfg: ChannelConfig, b: float) -> None:
     bmax = max_energy_rate(cfg)
     if b > bmax + 1e-9 * max(1.0, bmax):
         raise InfeasibleEnergyRateError(
             f"energy rate {b} exceeds feasibility bound {bmax}")
-    return bmax
 
 
 def xi(cfg: ChannelConfig, b: float) -> float:
-    """Minimum input correlation needed to sustain energy rate b at full power."""
-    _check_feasible_b(cfg, b)
-    s21, s22 = cfg.snr21, cfg.snr22
-    excess = b - (1.0 + s21 + s22)
-    if excess <= 0.0:
-        return 0.0
-    denom = 2.0 * math.sqrt(s21 * s22)
-    if denom == 0.0:
-        # formula divides by zero; b > 1+s21+s22 is infeasible here anyway
+    """Minimum input correlation needed to sustain energy rate b at full
+    power: rho_min at beta1 = beta2 = 1."""
+    x = rho_min(cfg, 1.0, 1.0, b)
+    if x > 0.0 and min(cfg.snr21, cfg.snr22) == 0.0:
         raise InfeasibleEnergyRateError(
             f"energy rate {b} infeasible with SNR21*SNR22 = 0")
-    return min(1.0, excess / denom)
+    return x
 
 
 def rho_min(cfg: ChannelConfig, beta1: float, beta2: float, b: float) -> float:
@@ -161,11 +156,11 @@ def rho_min(cfg: ChannelConfig, beta1: float, beta2: float, b: float) -> float:
         raise ValueError("rho_min requires beta1 > 0 and beta2 > 0")
     _check_feasible_b(cfg, b)
     s21, s22 = cfg.snr21, cfg.snr22
-    nic = 2.0 * math.sqrt((1.0 - beta1) * s21 * (1.0 - beta2) * s22)
+    nic = 2.0 * _sqrt_product((1.0 - beta1) * s21 * (1.0 - beta2), s22)
     excess = b - (1.0 + s21 + s22 + nic)
     if excess <= 0.0:
         return 0.0
-    denom = 2.0 * math.sqrt(beta1 * s21 * beta2 * s22)
+    denom = 2.0 * _sqrt_product(beta1 * s21 * beta2, s22)
     if denom == 0.0:
         return 1.0
     return min(1.0, excess / denom)
@@ -190,25 +185,34 @@ def _boxes(cfg: ChannelConfig, b1, b2, rho):
     return r1, r2, rsum, bmax
 
 
+def _region_grid(cfg: ChannelConfig, feedback: bool, n: int, name: str,
+                 axes: tuple[int, int, int]):
+    """(g, rho, r1, r2, rsum, b): _boxes at n beta points g and rho in g (0
+    without feedback), with beta1, beta2 and rho along grid axes axes[0..2].
+    Refuses n < 2, calling n name, and bounds that overflow float64."""
+    if n < 2:
+        raise ValueError(f"{name} must be >= 2")
+    g = np.linspace(0.0, 1.0, n)
+    rho = g if feedback else np.zeros(1)
+    # a grid too large to allocate fails here, before any part is computed
+    np.empty((n, n, len(rho)))
+    ops = [v.reshape([-1 if d == k else 1 for d in range(3)])
+           for v, k in zip((g, g, rho), axes)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = _boxes(cfg, *ops)
+    if not all(np.isfinite(a).all() for a in bounds):
+        raise ValueError("region bounds overflow float64 at these SNRs")
+    return (g, rho) + bounds
+
+
 # ---------------------------------------------------------------------------
 # region membership
 
 
 @lru_cache(maxsize=32)
 def _grid_boxes(cfg: ChannelConfig, feedback: bool, grid_n: int):
-    """(g, rho, r1, r2, rsum, b): contains' grid, kept for repeated calls.
-
-    g is the beta axis and rho the rho axis (g, or the one value 0 without
-    feedback).  The bounds are _boxes on the broadcast axes, rho-major:
-    r1 is (n_rho, grid_n, 1), r2 (n_rho, 1, grid_n), and rsum and b are
-    full (n_rho, grid_n, grid_n), so [k, i, j] is the point (g[i], g[j],
-    rho[k]).
-    """
-    g = np.linspace(0.0, 1.0, grid_n)
-    rho = g if feedback else np.zeros(1)
-    # a grid too large to allocate fails here, before any part is computed
-    np.empty((len(rho), grid_n, grid_n))
-    return (g, rho) + _boxes(cfg, g[:, None], g, rho[:, None, None])
+    """contains' grid, cached; [k, i, j] is the point (g[i], g[j], rho[k])."""
+    return _region_grid(cfg, feedback, grid_n, "grid_n", (1, 2, 0))
 
 
 _GOLDEN_DEPTH = 4  # golden-section steps that one score call resolves
@@ -322,10 +326,8 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
     On a miss, the best grid point of every rho slice starts a coordinate
     refinement, which stops at the first pass that certifies t: no pass
     lowers a start's score, which depends on that start alone, so the
-    verdict holds.
+    verdict holds.  A grid whose bounds overflow float64 raises ValueError.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
     eps = 1e-9 * max(1.0, t.r1, t.r2, t.b)
     g, rho, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback, grid_n)
     t1, t2, ts, tb = t.r1 - eps, t.r2 - eps, t.r1 + t.r2 - eps, t.b - eps
@@ -374,7 +376,7 @@ def sum_capacity_fb(cfg: ChannelConfig, b: float) -> float:
         raise ValueError("b must be nonnegative")
     s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
     rs = solve_rho_star(cfg, 1.0, 1.0)
-    edge = 1.0 + s21 + s22 + 2.0 * rs * math.sqrt(s21 * s22)
+    edge = 1.0 + s21 + s22 + 2.0 * rs * _sqrt_product(s21, s22)
     if b <= edge:
         return 0.5 * log2(1.0 + s11 + s12 + 2.0 * rs * math.sqrt(s11 * s12))
     bmax = max_energy_rate(cfg)
@@ -394,7 +396,7 @@ def sum_capacity_nf(cfg: ChannelConfig, b: float) -> float:
         ratio = math.sqrt(min(s11, s12) / max(s11, s12))
     else:
         ratio = 0.0
-    edge = 1.0 + s21 + s22 + 2.0 * math.sqrt(s21 * s22) * ratio
+    edge = 1.0 + s21 + s22 + 2.0 * _sqrt_product(s21, s22) * ratio
     bmax = max_energy_rate(cfg)
     if b <= edge:
         x = xi(cfg, min(b, bmax))
@@ -462,7 +464,7 @@ def b_fb_at_nf_sum_capacity(cfg: ChannelConfig) -> tuple[float, float]:
             f"2*SNR11*SNR12 underflows to 0 at SNR11 = {s11}, SNR12 = {s12}")
     gamma = ((s11 + s12) / den) * (
         math.sqrt(1.0 + 4.0 * s11 * s12 / (s11 + s12)) - 1.0)
-    b_fb = 1.0 + s21 + s22 + 2.0 * math.sqrt((1.0 - gamma) * s21 * s22)
+    b_fb = 1.0 + s21 + s22 + 2.0 * _sqrt_product((1.0 - gamma) * s21, s22)
     return gamma, b_fb
 
 
@@ -470,7 +472,7 @@ def feedback_gain_ratio(cfg: ChannelConfig) -> float:
     """Ratio b_fb / b_nf of guaranteeable energy rates at the NF sum capacity."""
     gamma, _ = b_fb_at_nf_sum_capacity(cfg)
     s21, s22 = cfg.snr21, cfg.snr22
-    return 1.0 + 2.0 * math.sqrt((1.0 - gamma) * s21 * s22) / (1.0 + s21 + s22)
+    return 1.0 + 2.0 * _sqrt_product((1.0 - gamma) * s21, s22) / (1.0 + s21 + s22)
 
 
 def gain_ratio_limit_high_snr(eta: float) -> float:
@@ -594,7 +596,7 @@ def _boundary_chunk(r1b, r2b, rsb, p, nbc, stair):
     chunk the whole grid."""
     # the point (i1 * res + i2) * n_rho + k has flat position
     # i1 * n_rho + k in r1b and i2 * n_rho + k in r2b
-    n_rho = r2b.shape[1]
+    n_rho = r2b.shape[-1]
     i1, i2k = np.divmod(p, r2b.size)
     r2p = r2b.take(i2k)
     i1 *= n_rho
@@ -671,17 +673,8 @@ def boundary_table(cfg: ChannelConfig, feedback: bool = True,
     stably.  Where every b is equal (SNR21 = 0, say) the one chunk is the
     whole grid.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    g = np.linspace(0.0, 1.0, resolution)
-    rho = g if feedback else np.zeros(1)
-    plane = resolution * len(rho)  # grid points per beta1 value
-    # a grid too large to allocate fails here, before any part is computed
-    np.empty((resolution, plane))
-    with np.errstate(over="ignore", invalid="ignore"):
-        r1b, r2b, rsb, bb = _boxes(cfg, g[:, None, None], g[:, None], rho)
-    if not all(np.isfinite(a).all() for a in (r1b, r2b, rsb, bb)):
-        raise ValueError("region bounds overflow float64 at these SNRs")
+    g, rho, r1b, r2b, rsb, bb = _region_grid(cfg, feedback, resolution,
+                                             "resolution", (0, 1, 2))
     pts, nb = _b_order(bb.ravel())
     del bb
     n = len(pts)
@@ -693,8 +686,7 @@ def boundary_table(cfg: ChannelConfig, feedback: bool = True,
         hi = int(np.searchsorted(nb, nb[min(n, lo + size) - 1], "right"))
         pt, r1k, r2k, nbk = _boundary_chunk(r1b, r2b, rsb, pts[lo:hi],
                                             nb[lo:hi], stair)
-        i1, rest = np.divmod(pt, plane)
-        i2, k = np.divmod(rest, len(rho))
+        i1, i2, k = np.unravel_index(pt, rsb.shape)
         parts.append(np.column_stack([g[i1], g[i2], rho[k], r1k, r2k, -nbk]))
         lo = hi
     return np.concatenate(parts)

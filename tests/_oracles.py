@@ -4,7 +4,10 @@ These deliberately avoid the library's own code paths: dense scanning
 instead of bisection, exhaustive grid maximization instead of closed
 forms, a naive unnormalized covariance recursion instead of the
 log-domain one, a 2x2 matrix error-state recursion for the law of
-the empirical energy rate instead of the coefficient schedule, an
+the empirical energy rate instead of the coefficient schedule, the
+energy-side closed forms with each geometric mean as sqrt(x) * sqrt(y)
+instead of sqrt(x * y) and rho* as a polished root of phi's quartic
+instead of bisection, an
 all-pairs dominance check for the region boundary instead of a sweep,
 one pass over a flat grid with a per-slice first maximum for the
 membership grid test instead of blocks of rho slices, a step-by-step
@@ -28,6 +31,65 @@ def scan_rho_star(cfg, beta1, beta2, points=1_000_001):
     vals = (1.0 + a + c + 2.0 * r * math.sqrt(a * c)
             - (1.0 + a * (1.0 - r * r)) * (1.0 + c * (1.0 - r * r)))
     return float(r[np.argmin(np.abs(vals))])
+
+
+def rho_min_closed_form(cfg, beta1, beta2, b):
+    """Smallest IC correlation delivering energy rate b at power split
+    (beta1, beta2): the NIC part's energy and the IC part's per unit
+    correlation, clipped to [0, 1]."""
+    s21, s22 = cfg.snr21, cfg.snr22
+    nic = 2.0 * math.sqrt((1.0 - beta1) * s21) * math.sqrt((1.0 - beta2) * s22)
+    ic = 2.0 * math.sqrt(beta1 * s21) * math.sqrt(beta2 * s22)
+    excess = b - (1.0 + s21 + s22 + nic)
+    if excess <= 0.0:
+        return 0.0
+    return min(1.0, excess / ic) if ic > 0.0 else 1.0
+
+
+def full_power_rho_star(s11, s12):
+    """rho* at beta1 = beta2 = 1: phi written out as the quartic
+    -ac + 2 sqrt(ac) r + (a + c + 2ac) r^2 - ac r^4 in r, its one root in
+    (0, 1) taken from numpy's companion-matrix roots and polished by
+    Newton steps."""
+    ac = s11 * s12
+    poly = np.array([-ac, 0.0, s11 + s12 + 2.0 * ac,
+                     2.0 * math.sqrt(s11) * math.sqrt(s12), -ac])
+    r = min(z.real for z in np.roots(poly)
+            if abs(z.imag) < 1e-9 and 0.0 < z.real < 1.0)
+    slope = np.polyder(poly)
+    for _ in range(3):
+        r -= np.polyval(poly, r) / np.polyval(slope, r)
+    return float(r)
+
+
+def sum_capacities(snr, b):
+    """(with feedback, without) information sum capacities at energy rate
+    b <= b_max, from the piecewise closed forms.
+
+    xi = (b - 1 - SNR21 - SNR22) / (2 sqrt(SNR21) sqrt(SNR22)), clipped to
+    [0, 1], is the correlation that b needs at full power.  With feedback
+    the rate is the rho* sum bound up to the energy rho* itself delivers,
+    then the product of the individual bounds at xi.  Without feedback it
+    is the sum bound at -xi up to the energy at correlation
+    sqrt(min/max) of the information SNRs, then the stronger user alone
+    at xi.
+    """
+    s11, s12, s21, s22 = snr
+    cross = math.sqrt(s21) * math.sqrt(s22)
+    base = 1.0 + s21 + s22
+    xi = min(1.0, max(0.0, (b - base) / (2.0 * cross)))
+    om = 1.0 - xi * xi
+    info = math.sqrt(s11) * math.sqrt(s12)
+    rs = full_power_rho_star(s11, s12)
+    if b <= base + 2.0 * rs * cross:
+        fb = 0.5 * math.log2(1.0 + s11 + s12 + 2.0 * rs * info)
+    else:
+        fb = 0.5 * math.log2((1.0 + om * s11) * (1.0 + om * s12))
+    if b <= base + 2.0 * cross * math.sqrt(min(s11, s12) / max(s11, s12)):
+        nf = 0.5 * math.log2(1.0 + s11 + s12 - 2.0 * xi * info)
+    else:
+        nf = 0.5 * math.log2(1.0 + om * max(s11, s12))
+    return fb, nf
 
 
 def brute_force_sum_capacity(cfg, b_values, grid_n=201, feedback=True):

@@ -1,7 +1,9 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import FixedDraws
@@ -96,6 +98,34 @@ def test_max_energy_rate_values():
     assert channel.max_energy_rate(cfg) == pytest.approx(1e300, rel=1e-12)
     assert channel.max_energy_rate(channel.from_snr(0, 0, 1e200, 1e200)) \
         == pytest.approx(4e200, rel=1e-12)
+
+
+factor = st.one_of(st.just(0.0),
+                   st.floats(min_value=-320.0, max_value=308.0)
+                   .map(lambda e: 10.0 ** e))
+TINY = 2.0 ** -511  # TINY * TINY is the smallest normal float
+
+
+@given(factor, factor)
+@settings(max_examples=500)
+@example(2.0 ** 511, 2.0 ** 512)  # 2**1023, the largest power of 2
+@example(2.0 ** 512, 2.0 ** 512)  # 2**1024 overflows
+@example(sys.float_info.max, 1.0)
+@example(sys.float_info.max, 1.0 + 2.0 ** -52)
+@example(TINY, TINY)
+@example(TINY, math.nextafter(TINY, 0.0))  # just below the normal range
+@example(5e-324, 5e-324)  # underflows to 0
+@example(0.0, 1e308)
+def test_sqrt_product_contract(a, b):
+    got = channel._sqrt_product(a, b)
+    prod = a * b
+    if sys.float_info.min <= prod < math.inf or 0.0 in (a, b):
+        assert got == math.sqrt(prod)
+    else:
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = float((Decimal(a) * Decimal(b)).sqrt())
+        assert abs(got - want) <= 2.0 * math.ulp(want)
 
 
 def test_norm_condition_rejected():

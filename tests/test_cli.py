@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import sum_capacities
 from gmac_seit import channel, cli, coder, mc, region
 
 
@@ -212,6 +213,23 @@ def test_sumcap_fb_dominates_nf(tmp_path):
         assert (rows[:, 1] >= rows[:, 2] - 1e-12).all()
         assert rows[-1, 1] == pytest.approx(0.0, abs=1e-12)
         assert rows[-1, 2] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_sumcap_where_energy_products_overflow(tmp_path):
+    # SNR21*SNR22 overflows: xi once read excess/inf = 0, and the feedback
+    # edge 2*rho*sqrt(inf) = 2*0*inf was nan at the second SNRs
+    out = tmp_path / "sumcap.csv"
+    assert run_cli(["sumcap", "--snr", "1,1,1e300,1e300", "--points", "5",
+                    "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    want = [sum_capacities((1.0, 1.0, 1e300, 1e300), b) for b in rows[:, 0]]
+    np.testing.assert_allclose(rows[:, 1:], want, rtol=1e-12, atol=0.0)
+    assert (rows[:, 1] >= rows[:, 2]).all()
+    assert (rows[-1, 1:] == 0.0).all()
+    assert run_cli(["sumcap", "--snr", "1e-12,1e-12,1e300,1e30",
+                    "--points", "5", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert (rows[:, 1] >= rows[:, 2]).all()
 
 
 def test_ratio_endpoints(tmp_path):

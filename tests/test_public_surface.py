@@ -7,8 +7,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gmac_seit"
 
 # public names kept without an in-package caller, each for a stated reason
 ALLOWED = {
-    "rho_min": "smallest IC correlation for a given b; exact-in-rho region "
-               "membership will call it",
     "error_bound": "decoding-error bound; test_mc and acceptance compare "
                    "Monte Carlo error rates against it",
     "simulate_block": "batch-of-one seam the oracle tests drive with "

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _oracles import (brute_force_sum_capacity, golden_section_replay,
-                      grid_starts, pareto_corners, scan_rho_star)
+                      grid_starts, pareto_corners, rho_min_closed_form,
+                      scan_rho_star)
 from gmac_seit import channel, region
 
 SYM10 = channel.from_snr(10, 10, 10, 10)
@@ -104,7 +106,13 @@ def test_xi_infeasible():
 @given(pos_unit, pos_unit, st.floats(min_value=0.0, max_value=41.0))
 @settings(max_examples=200)
 def test_rho_min_matches_xi_at_full_split(b1, b2, b):
-    assert region.rho_min(SYM10, 1.0, 1.0, b) == region.xi(SYM10, b)
+    want = rho_min_closed_form(SYM10, 1.0, 1.0, b)
+    assert region.xi(SYM10, b) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert region.rho_min(SYM10, 1.0, 1.0, b) == pytest.approx(
+        want, rel=1e-12, abs=1e-15)
+    want = rho_min_closed_form(SYM10, b1, b2, b)
+    assert region.rho_min(SYM10, b1, b2, b) == pytest.approx(
+        want, rel=1e-12, abs=1e-15)
     assert 0.0 <= region.rho_min(SYM10, b1, b2, b) <= 1.0
 
 
@@ -204,6 +212,20 @@ def test_contains_rejects_absurd_point():
     assert not region.contains(SYM10, region.RateTriplet(10.0, 10.0, 1.0))
     with pytest.raises(ValueError, match="grid_n"):
         region.contains(SYM10, region.RateTriplet(0.0, 0.0, 1.0), grid_n=1)
+
+
+@pytest.mark.parametrize("feedback", [True, False])
+def test_contains_rejects_overflowing_grid(feedback):
+    # 600 bits exceed the sum capacity of about 333.2 bits, but a grid of
+    # inf and nan sum bounds once let the grid test pass
+    cfg = channel.from_snr(1e200, 1e200, 1.0, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="region bounds overflow float64"
+                                             " at these SNRs"):
+            region.contains(cfg, region.RateTriplet(300.0, 300.0, 1.0),
+                            feedback=feedback)
+    assert caught == []
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])
