@@ -220,20 +220,29 @@ _GOLDEN_STEPS = 40  # steps per coordinate pass, a multiple of the depth
 _GR = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_steps(t: np.ndarray):
-    """Both golden-section steps from every bracket of t.
+def _probe_tree():
+    """_refine_coord's pool rows and row tables, by the golden-step rule."""
+    def step(node, p, left):  # (the probe's X and Y, the child)
+        a, lo, hi, b = node
+        return ((hi, a), (a, p, lo, hi)) if left else ((lo, b), (lo, hi, p, b))
+    nodes, xy, dec, top, leaf = [(4, 5, 6, 7)], [], [], 9, 0
+    code = np.arange(2 ** (2 ** (_GOLDEN_DEPTH - 1) - 1))  # inner nodes' bits
+    while len(nodes) < 2 ** (_GOLDEN_DEPTH - 1):
+        m = len(nodes)  # node j of this level decides by bit m - 1 + j
+        leaf = leaf + np.where(code >> (m - 1 + leaf) & 1, 0, m)
+        kids = [step(node, top + j + m * (not left), left)
+                for left in (True, False) for j, node in enumerate(nodes)]
+        xy.append((np.array([r for r, _ in kids]).T, slice(top, top + 2 * m)))
+        dec += [node[1:3] for node in nodes]
+        nodes, top = [kid for _, kid in kids], top + 2 * m
+    n = top + len(nodes)  # rows; the score of row r is row n + r
+    first = np.array([sum(step((0, 1, 2, 3), 8, go), ()) for go in (1, 0)])
+    ends = np.array([t + (top + j,) for j, t in enumerate(nodes)])
+    return (n, np.hstack((first, first[:, 3:5] + n)), xy, np.array(dec).T,
+            ends[:, [0, 3]].T, np.hstack((ends, ends[:, [1, 2, 4]] + n))[leaf])
 
-    t holds rows (a, lo, hi, b) of (m, n) brackets.  The left step keeps
-    [a, hi] and probes hi - g, the right one keeps [lo, b] and probes
-    lo + g, each with g = gr * (its b - its a), as the step-by-step search
-    computes them.  Returns the (4, 2m, n) children, bracket j's left child
-    at j and its right child at j + m, and the two (m, n) new probes.
-    """
-    a, lo, hi, b = t
-    g = _GR * (t[2:] - t[:2])
-    left, right = hi - g[0], lo + g[1]
-    kids = np.concatenate((a, lo, left, hi, lo, right, hi, b))
-    return kids.reshape(4, -1, t.shape[-1]), left, right
+
+_ROWS, _FIRST, _XY, _DEC, _MID, _LEAF = _probe_tree()
 
 
 def _refine_coord(score, pts: np.ndarray, c: int, h: float,
@@ -246,63 +255,53 @@ def _refine_coord(score, pts: np.ndarray, c: int, h: float,
     _GOLDEN_STEPS steps a column keeps its start when the bracket's
     midpoint scores worse, so no column's score ever falls.
 
-    A step goes left where f(lo) >= f(hi) and scores its one new probe
-    (_golden_steps).  Here one score call resolves _GOLDEN_DEPTH steps.
-    The first branch of such a round is known, so the probes its steps can
-    reach form a tree of 1 + 2 + 4 + 8 per column; all are scored at once,
-    and each column then follows the branches that its own scores pick.
-    The opening pair shares one call, and the last round also scores the
-    midpoint of each of the 8 brackets it can end in: 11 calls per pass
-    instead of 43.  Every probe and midpoint is computed by the step's own
-    expression on the same operands, and score is elementwise, so each
-    column's trajectory, its pts and its score are those of the
-    step-by-step search bit for bit.
+    A step goes left where f(lo) >= f(hi).  A round's first branch is
+    known, so one score call takes the 1 + 2 + 4 + 8 probes of its
+    _GOLDEN_DEPTH steps (the last round's also the 8 leaves' midpoints).
+    Points are rows of p, their scores rows of s: 0-3 a round's bracket, 8
+    its first probe, 4-7 that step's child, the tree's root.  There, by
+    _probe_tree's tables, a level's probes are X - gr * (X - Y) on one
+    gather of rows, (X, Y) = (hi, a) left and (lo, b) right; one compare
+    decides all 7 inner nodes, whose bits, packed, pick the leaf one flat
+    take reads.  lo - gr * (lo - b) is lo + gr * (b - lo) bit for bit
+    (negation is exact, rounding to nearest symmetric); score is
+    elementwise, so probes, pts and scores are the step-by-step search's.
     """
     x = pts[c]
     n = x.size
-    tiled = {}
+    fixed = np.tile(np.delete(pts, c, 0), _ROWS - 8)  # the fixed rows
 
-    def f(v):  # flat scores of the (m, n) probes v, row by row
-        m = len(v)
-        if m not in tiled:
-            tiled[m] = [np.tile(r, m) for r in pts]
-        q = list(tiled[m])
-        q[c] = v.ravel()
-        return score(q)
+    def f(v):  # scores of the (m, n) probes v, as (m, n)
+        q = list(fixed[:, :v.size])
+        q.insert(c, v.ravel())
+        return score(q).reshape(v.shape)
 
+    p, s = ps = np.empty((2, _ROWS, n))
+    cols = np.arange(n)
+    first, leaf = _FIRST[:, :, None] * n + cols, _LEAF.T * n
     a, b = np.maximum(0.0, x - h), np.minimum(1.0, x + h)
     g = _GR * (b - a)
-    t = np.stack((a, b - g, a + g, b))
-    flo, fhi = f(t[1:3]).reshape(2, n)
-    rounds = _GOLDEN_STEPS // _GOLDEN_DEPTH
-    leaves = 2 ** (_GOLDEN_DEPTH - 1)  # brackets a round can end in
-    for r in range(rounds):
-        left = flo >= fhi
-        kids, nl, nr = _golden_steps(t[:, None])
-        t = np.where(left, kids[:, :1], kids[:, 1:])
-        probes = [np.where(left, nl, nr)]
-        for _ in range(_GOLDEN_DEPTH - 1):
-            t, nl, nr = _golden_steps(t)
-            probes += (nl, nr)
-        if r == rounds - 1:
-            probes.append(0.5 * (t[0] + t[3]))
-        s = f(np.concatenate(probes))
-        fnew = s[:n]
-        flo, fhi = np.where(left, fnew, fhi), np.where(left, flo, fnew)
-        # k: the flat position in s of each column's probe.  Node j of a
-        # tree level of m sits at row m - 1 + j, its children at rows
-        # 2m - 1 + j (left) and 2m - 1 + j + m (right).
-        k = np.arange(n)
-        for m in (2 ** i for i in range(_GOLDEN_DEPTH - 1)):
-            left = flo >= fhi
-            k = k + np.where(left, m * n, 2 * m * n)
-            fnew = s.take(k)
-            flo, fhi = np.where(left, fnew, fhi), np.where(left, flo, fnew)
-        t = t.reshape(4, -1).take(k - (leaves - 1) * n, axis=1)
-    best = 0.5 * (t[0] + t[3])
-    fb = s.take(k + leaves * n)
-    pts[c] = np.where(fb >= fx, best, x)
-    return np.where(fb >= fx, fb, fx)
+    p[:4] = a, b - g, a + g, b
+    s[1:3] = f(p[1:3])
+    for last in [False] * (_GOLDEN_STEPS // _GOLDEN_DEPTH - 1) + [True]:
+        k = np.where(s[1] >= s[2], first[0], first[1])
+        u, v = ps.take(k[:2])
+        np.subtract(u, _GR * (u - v), out=p[8])
+        p[4:8] = ps.take(k[2:6])
+        for rows, out in _XY:
+            u, v = p.take(rows, axis=0)
+            np.subtract(u, _GR * (u - v), out=p[out])
+        if last:
+            np.multiply(0.5, np.add(*p.take(_MID, axis=0)), out=p[out.stop:])
+        end = _ROWS if last else out.stop
+        s[8:end] = f(p[8:end])
+        s[5:7] = ps.take(k[6:])
+        lo, hi = s.take(_DEC, axis=0)
+        code = np.packbits(lo >= hi, axis=0, bitorder="little")[0]
+        t = ps.take(leaf.take(code, axis=1) + cols)
+        p[:4], s[1:3] = t[:4], t[5:7]
+    pts[c] = np.where(t[7] >= fx, t[4], x)
+    return np.where(t[7] >= fx, t[7], fx)
 
 
 # most grid points per block of contains' slack scan; a block holds whole

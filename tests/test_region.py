@@ -396,6 +396,64 @@ def test_contains_verdicts_golden_digest():
         "adb7bd7754389cf2a9dba0138d21609c1a34eb4adb4c93054a7cebe6d4ff554b")
 
 
+def test_contains_grid48_refinement_verdicts_golden_digest():
+    # verdicts at the benchmark's grid 48, where 67 of these 103 triplets
+    # go to the refinement (47 accepted there, 20 rejected after every
+    # pass): every 16th res-24 SYM10 feedback boundary triplet
+    verdicts = "".join(
+        "1" if region.contains(SYM10, t, feedback=True, grid_n=48) else "0"
+        for t in boundary_triplets(SYM10, True, 24)[::16])
+    assert (len(verdicts), verdicts.count("1")) == (103, 83)
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == (
+        "c704a45f9b7dcd3e27f70d99a35dd46ed6d2a3ba6c51692683d79b0d8f79bc3f")
+
+
+def test_probe_tree_tables_follow_golden_steps():
+    # the tree is rebuilt here, symbol by symbol, by the golden-step rule:
+    # (a, lo, hi, b) goes left to (a, hi - gr * (hi - a), lo, hi) and
+    # right to (lo, hi, lo + gr * (b - lo), b); a probe is written as its
+    # rule's (X, Y), and the tables must name the same points
+    def kids(node):
+        a, lo, hi, b = node
+        return (a, (hi, a), lo, hi), (lo, hi, (lo, b), b)
+
+    rows = region._ROWS
+    for first, want in zip(region._FIRST, kids(("a", "lo", "hi", "b"))):
+        sym = {0: "a", 1: "lo", 2: "hi", 3: "b"}
+        sym[8] = (sym[first[0]], sym[first[1]])
+        assert tuple(sym[r] for r in first[2:6]) == want
+        assert list(first[6:]) == [rows + first[3], rows + first[4]]
+
+    tree = {(): ("A", "L", "H", "B")}  # the root, rows 4-7; True: left
+    for depth in range(region._GOLDEN_DEPTH - 1):
+        for path in [p for p in tree if len(p) == depth]:
+            tree[path + (True,)], tree[path + (False,)] = kids(tree[path])
+    sym, top = {4: "A", 5: "L", 6: "H", 7: "B"}, 9
+    for depth, ((xs, ys), out) in enumerate(region._XY, 1):
+        assert out == slice(top, top + len(xs))
+        level = [(sym[x], sym[y]) for x, y in zip(xs, ys)]
+        assert sorted(map(repr, level)) == sorted(
+            repr(tree[p][1] if p[-1] else tree[p][2])
+            for p in tree if len(p) == depth)
+        sym.update(zip(range(out.start, out.stop), level))
+        top = out.stop
+    assert top == rows - 8
+    inner = [p for p in tree if len(p) < region._GOLDEN_DEPTH - 1]
+    dec = [(sym[lo], sym[hi]) for lo, hi in zip(*region._DEC)]
+    assert sorted(dec, key=repr) == sorted((tree[p][1:3] for p in inner),
+                                           key=repr)
+    mid = [(sym[a], sym[b]) for a, b in zip(*region._MID)]
+    for code in range(2 ** len(dec)):
+        path = ()
+        while path in inner:  # node i decides by bit i of code
+            path += (bool(code >> dec.index(tree[path][1:3]) & 1),)
+        leaf = region._LEAF[code]
+        assert tuple(sym[r] for r in leaf[:4]) == tree[path]
+        assert top <= leaf[4] < rows
+        assert mid[leaf[4] - top] == (tree[path][0], tree[path][3])
+        assert list(leaf[5:]) == [rows + r for r in leaf[[1, 2, 4]]]
+
+
 def test_contains_verdicts_do_not_depend_on_slack_blocks(monkeypatch):
     # the refinement starts are a block-wise argmax over the grid; at grid
     # 24 the default takes two blocks of rho slices, and one slice per block
