@@ -39,11 +39,11 @@ alone, by one log-domain nearest-index rule that holds at any message
 count (_decode), and the tail (q, the energies and the energy rate) runs
 on blocks of trials, with numpy's pairwise sums over contiguous (trials, n)
 rows.
-BlockBatch.trace and BlockBatch.u form y1, y2 and u on request, by the
-loop's own expressions; a trace holds its three init uses as one (3, 6)
-array.  simulate_block is the batch of one.  The tests
-check the engine bit for bit against tests/_oracles.py::replay_block, an
-independent replay of one block in scalar floats, use by use.
+BlockBatch holds what the engine produces: x, the draws, the decisions,
+b_hat and the energies, with u formed on request by the loop's own
+expression; y1 and y2 are never kept.  The tests check these outputs bit
+for bit against tests/_oracles.py::replay_block, an independent replay of
+one block in scalar floats, use by use, on batches of one and more.
 """
 from __future__ import annotations
 
@@ -126,25 +126,6 @@ def message_points(ms: Sequence[int], rate: float, n: int,
         frac = np.array([((2 * (m - 1) << 64) // big) / 18446744073709551616.0
                          for m in ms])
     return math.sqrt(p) * (1.0 - frac)
-
-
-@dataclass
-class TransmissionTrace:
-    """Everything observable about one simulated block."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    init_uses: np.ndarray  # (3, 6) x1, x2, y1, y2, z, q of each init use
-    m_true: tuple[int, int]
-    m_hat: tuple[int, int]
-    error: bool
-    b_hat: float
-    energy1: float  # total consumed energy, init included
-    energy2: float
 
 
 def _coeffs(r: float, s1: float, s2: float):
@@ -316,15 +297,12 @@ class BlockBatch:
     x holds the payload inputs time-major: row t-1 is use t, with x1 of
     every trial followed by x2 of every trial.  Trial j's draws are row j
     of draws: z (n + 3 receiver noises, init uses first), q (the n + 3
-    harvester noises) and w (the n NIC symbols).  The receiver and
-    harvester outputs are formed on request, by the expressions the engine
-    uses.
+    harvester noises, correlated with z by the tail) and w (the n NIC
+    symbols).
     """
 
     x: np.ndarray  # (n, 2*trials) inputs of transmitters 1 and 2
     draws: np.ndarray  # (trials, 3n + 6) z | q | w of each trial
-    th: np.ndarray  # (2, trials) PAM points Theta1, Theta2
-    cfg: ChannelConfig
     nic: np.ndarray  # (2, 1) NIC amplitudes sqrt((1-beta_i) P_i)
     m_true: list[tuple[int, int]]
     m_hat: list[tuple[int, int]]
@@ -337,23 +315,6 @@ class BlockBatch:
         n = len(self.x)
         w = self.draws[:, 2 * n + 5 + t]
         return self.x[t - 1].reshape(2, -1) - self.nic * w
-
-    def trace(self, j: int) -> TransmissionTrace:
-        cfg = self.cfg
-        n, k = len(self.x), len(self.draws)
-        z, q, w = np.split(self.draws[j], (n + 3, 2 * n + 6))
-        init = np.zeros((2, 3))  # init uses (0, Th2), (Th1, 0), (0, 0)
-        init[0, 1], init[1, 0] = self.th[:, j]
-        x1, x2 = np.concatenate((init, self.x[:, j::k].T), axis=1)
-        y1 = cfg.h11 * x1 + cfg.h12 * x2 + z
-        y2 = cfg.h21 * x1 + cfg.h22 * x2 + q
-        return TransmissionTrace(
-            x1=x1[3:], x2=x2[3:], y1=y1[3:], y2=y2[3:],
-            u1=x1[3:] - self.nic[0] * w, u2=x2[3:] - self.nic[1] * w,
-            init_uses=np.column_stack([a[:3] for a in (x1, x2, y1, y2, z, q)]),
-            m_true=self.m_true[j], m_hat=self.m_hat[j],
-            error=self.m_hat[j] != self.m_true[j], b_hat=self.b_hat[j],
-            energy1=self.energy1[j], energy2=self.energy2[j])
 
 
 def _run_uses(params: SchemeParams, sched: CoeffSchedule, err: np.ndarray,
@@ -483,19 +444,8 @@ def simulate_batch(params: SchemeParams, sched: CoeffSchedule,
         np.square(t1, out=t1)
         b_hat[lo:hi] = np.mean(t1, axis=1)
     energy = th * th + sums
-    return BlockBatch(x=x, draws=draws, th=th, cfg=cfg,
-                      nic=np.array([[nic1], [nic2]]),
+    return BlockBatch(x=x, draws=draws, nic=np.array([[nic1], [nic2]]),
                       m_true=[tuple(m) for m in messages], m_hat=m_hat,
                       b_hat=b_hat.tolist(), energy1=energy[0].tolist(),
                       energy2=energy[1].tolist())
 
-
-def simulate_block(params: SchemeParams, m1: int, m2: int,
-                   rng: np.random.Generator) -> TransmissionTrace:
-    """Run one full block: init phase, n coded uses, decode.
-
-    rng supplies 3n + 6 standard normals in one call: n+3 receiver noises,
-    n+3 independent EH noise components, n shared NIC symbols.
-    """
-    batch = simulate_batch(params, coeff_schedule(params), [(m1, m2)], [rng])
-    return batch.trace(0)

@@ -100,7 +100,7 @@ def phi(cfg: ChannelConfig, beta1: float, beta2: float, rho: float) -> float:
     """
     a = beta1 * cfg.snr11
     c = beta2 * cfg.snr12
-    lhs = 1.0 + a + c + 2.0 * rho * math.sqrt(a * c)
+    lhs = 1.0 + a + c + 2.0 * rho * _sqrt_product(a, c)
     rhs = (1.0 + a * (1.0 - rho * rho)) * (1.0 + c * (1.0 - rho * rho))
     return lhs - rhs
 
@@ -369,44 +369,50 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
 # capacity formulas in b
 
 
-def sum_capacity_fb(cfg: ChannelConfig, b: float) -> float:
-    """Information sum-capacity with feedback at energy rate b (0 beyond max)."""
+def _no_rate_left(cfg: ChannelConfig, b: float) -> bool:
+    """Whether energy rate b leaves no information rate.
+
+    Past b_max no input delivers b, and b_max itself takes fully
+    correlated inputs, which carry no information; where SNR21*SNR22 = 0,
+    correlation adds no energy and b_max leaves the full rates.
+    """
     if b < 0:
         raise ValueError("b must be nonnegative")
+    bmax = max_energy_rate(cfg)
+    return b > bmax or (b == bmax and min(cfg.snr21, cfg.snr22) > 0.0)
+
+
+def sum_capacity_fb(cfg: ChannelConfig, b: float) -> float:
+    """Information sum-capacity with feedback at energy rate b."""
+    if _no_rate_left(cfg, b):
+        return 0.0
     s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
     rs = solve_rho_star(cfg, 1.0, 1.0)
     edge = 1.0 + s21 + s22 + 2.0 * rs * _sqrt_product(s21, s22)
     if b <= edge:
-        return 0.5 * log2(1.0 + s11 + s12 + 2.0 * rs * math.sqrt(s11 * s12))
-    bmax = max_energy_rate(cfg)
-    if b < bmax:
-        x = xi(cfg, b)
-        om = 1.0 - x * x
-        return 0.5 * log2(1.0 + om * s11) + 0.5 * log2(1.0 + om * s12)
-    return 0.0
+        return 0.5 * log2(1.0 + s11 + s12 + 2.0 * rs * _sqrt_product(s11, s12))
+    x = xi(cfg, b)
+    om = 1.0 - x * x
+    return 0.5 * log2(1.0 + om * s11) + 0.5 * log2(1.0 + om * s12)
 
 
 def sum_capacity_nf(cfg: ChannelConfig, b: float) -> float:
     """Information sum-capacity without feedback at energy rate b."""
-    if b < 0:
-        raise ValueError("b must be nonnegative")
+    if _no_rate_left(cfg, b):
+        return 0.0
     s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
     if s11 > 0.0 and s12 > 0.0:
         ratio = math.sqrt(min(s11, s12) / max(s11, s12))
     else:
         ratio = 0.0
     edge = 1.0 + s21 + s22 + 2.0 * _sqrt_product(s21, s22) * ratio
-    bmax = max_energy_rate(cfg)
+    x = xi(cfg, b)
     if b <= edge:
-        x = xi(cfg, min(b, bmax))
-        arg = 1.0 + s11 + s12 - 2.0 * x * math.sqrt(s11 * s12)
+        arg = 1.0 + s11 + s12 - 2.0 * x * _sqrt_product(s11, s12)
         # >= 1 + (sqrt(s11) - sqrt(s12))^2 in exact arithmetic, not in floats
         return 0.5 * log2(max(1.0, arg) if math.isfinite(arg) else arg)
-    if b < bmax:
-        x = xi(cfg, b)
-        s = s11 if s11 >= s12 else s12  # argmax, ties toward transmitter 1
-        return 0.5 * log2(1.0 + (1.0 - x * x) * s)
-    return 0.0
+    s = s11 if s11 >= s12 else s12  # argmax, ties toward transmitter 1
+    return 0.5 * log2(1.0 + (1.0 - x * x) * s)
 
 
 def time_sharing_sum_rate(cfg: ChannelConfig, b: float, grid_n: int = 101) -> float:

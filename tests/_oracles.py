@@ -393,9 +393,10 @@ def replay_block(params, m1, m2, rng):
     (Xi_i - Xihat_i) / (h_1i sqrt(1-rho*) delta_i) instead.  b_hat and the
     energies are numpy sums, pairwise as in the engine.
 
-    Returns (fields, state).  fields maps the TransmissionTrace field names
-    to their values, the init uses as (x1, x2, y1, y2, z, q) tuples; state
-    holds the final "log2_sigma", "corr", "mean" (Xihat_1, Xihat_2), "err"
+    Returns (fields, state).  fields holds the block's observables: the
+    payload-use arrays "x1", "x2", "y1", "y2", "u1" and "u2", the decisions
+    "m_hat" and "error", and "b_hat", "energy1" and "energy2"; state holds
+    the final "log2_sigma", "corr", "mean" (Xihat_1, Xihat_2), "err"
     (normalized errors), and "xi" and "y_init" (the init-use outputs y1).
     """
     cfg = params.cfg
@@ -416,11 +417,9 @@ def replay_block(params, m1, m2, rng):
         frac = (num / big[i] if big[i] < 2**52
                 else ((num << 64) // big[i]) / 2.0**64)
         theta.append(math.sqrt(p[i]) * (1.0 - frac))
-    init_uses = []
-    for j, (x1, x2) in enumerate(((0.0, theta[1]), (theta[0], 0.0),
-                                  (0.0, 0.0))):
-        init_uses.append((x1, x2, h11 * x1 + h12 * x2 + z[j],
-                          h21 * x1 + h22 * x2 + q[j], z[j], q[j]))
+    # the receiver's outputs of the init uses (0, Theta2), (Theta1, 0), (0, 0)
+    y_init = tuple(h11 * x1 + h12 * x2 + z[j] for j, (x1, x2) in enumerate(
+        ((0.0, theta[1]), (theta[0], 0.0), (0.0, 0.0))))
 
     # Xi_i = sqrt(1-rho*) Z_{-i} + sqrt(rho*) Z_0; z[0], z[1], z[2] are
     # Z_{-2}, Z_{-1}, Z_0
@@ -462,7 +461,6 @@ def replay_block(params, m1, m2, rng):
                          ("u1", x1 - nic1 * w[t]), ("u2", x2 - nic2 * w[t])):
             cols[key].append(val)
 
-    y_init = tuple(use[2] for use in init_uses)
     h = (h11, h12)
     m_hat = []
     for i, m, mean, en, log2_sigma, y_obs in (
@@ -485,8 +483,8 @@ def replay_block(params, m1, m2, rng):
     m_hat = tuple(m_hat)
     fields = {key: np.array(val) for key, val in cols.items()}
     fields.update(
-        init_uses=init_uses, m_true=(m1, m2), m_hat=m_hat,
-        error=m_hat != (m1, m2), b_hat=float(np.mean(fields["y2"] ** 2)),
+        m_hat=m_hat, error=m_hat != (m1, m2),
+        b_hat=float(np.mean(fields["y2"] ** 2)),
         energy1=theta[0] * theta[0] + float(np.sum(fields["x1"] ** 2)),
         energy2=theta[1] * theta[1] + float(np.sum(fields["x2"] ** 2)))
     state = {"log2_sigma": (l1, l2), "corr": r, "mean": (mean1, mean2),

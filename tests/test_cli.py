@@ -217,7 +217,10 @@ def test_sumcap_fb_dominates_nf(tmp_path):
 
 def test_sumcap_where_energy_products_overflow(tmp_path):
     # SNR21*SNR22 overflows: xi once read excess/inf = 0, and the feedback
-    # edge 2*rho*sqrt(inf) = 2*0*inf was nan at the second SNRs
+    # edge 2*rho*sqrt(inf) = 2*0*inf was nan at the second SNRs.  Where
+    # SNR11*SNR12 overflows too, sqrt(inf) once took the no-feedback sum to
+    # -inf at b_max, a math domain error.  _oracles.sum_capacities cannot
+    # check these rows: np.roots fails once its a*c overflows
     out = tmp_path / "sumcap.csv"
     assert run_cli(["sumcap", "--snr", "1,1,1e300,1e300", "--points", "5",
                     "--out", str(out)]) == 0
@@ -230,6 +233,21 @@ def test_sumcap_where_energy_products_overflow(tmp_path):
                     "--points", "5", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert (rows[:, 1] >= rows[:, 2]).all()
+    assert run_cli(["sumcap", "--snr", "1e300,1e300,1e300,1e300",
+                    "--points", "5", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert (rows[:, 1] >= rows[:, 2]).all()
+    assert (rows[-1, 1:] == 0.0).all()
+    # at b = 0 both users send at full power, with rho* -> 1 with feedback:
+    # the log2 arguments are 1 + 4e300 and, without feedback, 1 + 2e300
+    np.testing.assert_allclose(
+        rows[0, 1:], [0.5 * math.log2(4e300), 0.5 * math.log2(2e300)],
+        rtol=1e-12, atol=0.0)
+    # xi rounds to 1 - 1.1e-16 at b_max, which once left rsum_nf above 0
+    assert run_cli(["sumcap", "--snr", "1,1,1e160,1e154", "--points", "5",
+                    "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows[-1, 1:].tolist() == [0.0, 0.0]
 
 
 def test_ratio_endpoints(tmp_path):
@@ -473,7 +491,7 @@ def test_region_non_finite_bounds_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["ratio", "--snr-min", "1e200", "--snr-max", "1e300", "--points", "3"],
-    ["sumcap", "--snr", "1e150,1e200,1e-6,1e30", "--points", "3"],
+    ["sumcap", "--snr", "1e308,1e308,1e-6,1e30", "--points", "3"],
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_table_rejected(tmp_path, capsys, argv, fmt):

@@ -27,10 +27,15 @@ def init_noise_draws(params, z_init, w=0.0):
                       np.zeros(n + 3), np.full(n, w))
 
 
+def block_of_one(params, m1, m2, rng):
+    """A batch of one block, (m1, m2) sent on the draws of rng."""
+    return coder.simulate_batch(params, coder.coeff_schedule(params),
+                                [(m1, m2)], [rng])
+
+
 def block_on_draws(params, z_init, w=0.0, m1=1, m2=1):
-    """simulate_block on init_noise_draws(params, z_init, w)."""
-    return coder.simulate_block(params, m1, m2,
-                                init_noise_draws(params, z_init, w))
+    """block_of_one on init_noise_draws(params, z_init, w)."""
+    return block_of_one(params, m1, m2, init_noise_draws(params, z_init, w))
 
 
 def receiver_states(params, steps):
@@ -87,23 +92,28 @@ def test_message_count_huge():
 
 def test_init_phase_zero_noise():
     params = make_params()
-    tr = block_on_draws(params, (0.0, 0.0, 0.0))
-    assert tr.u1[0] == 0.0 and tr.u2[0] == 0.0  # Xi = 0
-    x1, x2 = tr.init_uses[:, 0], tr.init_uses[:, 1]
-    assert x1[0] == 0.0 and x2[1] == 0.0 and x1[2] == 0.0
-    assert x1[1] == pytest.approx(math.sqrt(SYM10.p1))  # m=1 anchor
+    batch = block_on_draws(params, (0.0, 0.0, 0.0))
+    assert batch.u(1).tolist() == [[0.0], [0.0]]  # Xi = 0
+    # no noise and no carrier: every payload input and the harvester output
+    # are 0, so each transmitter spends only Theta_i^2, on its one active
+    # init use
+    assert not batch.x.any() and batch.b_hat == [0.0]
+    th1 = coder.message_points([1], params.r1, params.n, SYM10.p1)[0]
+    th2 = coder.message_points([1], params.r2, params.n, SYM10.p2)[0]
+    assert th1 == pytest.approx(math.sqrt(SYM10.p1))  # m=1 anchor
+    assert (batch.energy1, batch.energy2) == ([th1 * th1], [th2 * th2])
 
 
 def test_init_phase_rho_zero_weights():
     params = make_params(beta2=0.0, r2=0.0)
     assert params.rho_star() == 0.0
-    tr = block_on_draws(params, (1.5, -2.0, 7.0))
-    assert tr.u1[0] == math.sqrt(SYM10.p1) * -2.0  # Xi_1 = Z_{-1}
+    u1, _ = block_on_draws(params, (1.5, -2.0, 7.0)).u(1)
+    assert u1[0] == math.sqrt(SYM10.p1) * -2.0  # Xi_1 = Z_{-1}
     # transmitter 2 shows its Xi only when it sends information
     params = make_params(beta1=0.0, r1=0.0)
     assert params.rho_star() == 0.0
-    tr = block_on_draws(params, (1.5, -2.0, 7.0))
-    assert tr.u2[0] == math.sqrt(SYM10.p2) * 1.5  # Xi_2 = Z_{-2}
+    _, u2 = block_on_draws(params, (1.5, -2.0, 7.0)).u(1)
+    assert u2[0] == math.sqrt(SYM10.p2) * 1.5  # Xi_2 = Z_{-2}
 
 
 def test_init_phase_xi_correlation():
@@ -116,10 +126,10 @@ def test_init_phase_xi_correlation():
     xi2 = math.sqrt(1 - rs) * draws[:, 0] + math.sqrt(rs) * draws[:, 2]
     # spot-check the vectorization against the engine
     for d in draws[:10]:
-        tr = block_on_draws(params, d)
-        assert tr.u1[0] == pytest.approx(math.sqrt(SYM10.p1) * (
+        u1, u2 = block_on_draws(params, d).u(1)
+        assert u1[0] == pytest.approx(math.sqrt(SYM10.p1) * (
             math.sqrt(1 - rs) * d[1] + math.sqrt(rs) * d[2]))
-        assert tr.u2[0] == pytest.approx(math.sqrt(SYM10.p2) * (
+        assert u2[0] == pytest.approx(math.sqrt(SYM10.p2) * (
             math.sqrt(1 - rs) * d[0] + math.sqrt(rs) * d[2]))
     emp = float(np.mean(xi1 * xi2))
     stderr = float(np.std(xi1 * xi2) / math.sqrt(len(draws)))
@@ -131,9 +141,9 @@ def test_init_phase_xi_correlation():
 def test_encode_step_pure_energy_transmitter():
     params = make_params(beta1=0.0, beta2=0.0, r1=0.0, r2=0.0)
     # rho* = 0: the normalized errors start at (Z_{-1}, Z_{-2}) = (0.3, -0.4)
-    tr = block_on_draws(params, (-0.4, 0.3, 0.0), w=0.7)
-    assert tr.x1[0] == pytest.approx(math.sqrt(SYM10.p1) * 0.7)
-    assert tr.x2[0] == pytest.approx(math.sqrt(SYM10.p2) * 0.7)
+    x1, x2 = block_on_draws(params, (-0.4, 0.3, 0.0), w=0.7).x[0]
+    assert x1 == pytest.approx(math.sqrt(SYM10.p1) * 0.7)
+    assert x2 == pytest.approx(math.sqrt(SYM10.p2) * 0.7)
 
 
 def test_encode_step_first_use_amplitude():
@@ -141,8 +151,8 @@ def test_encode_step_first_use_amplitude():
     params = make_params(cfg=cfg)
     rs = params.rho_star()
     # Xi = (1, 0): Z_{-1} = 1/sqrt(1-rho*), Z_{-2} = Z_0 = 0
-    tr = block_on_draws(params, (0.0, 1.0 / math.sqrt(1.0 - rs), 0.0))
-    assert tr.x1[0] == pytest.approx(2.0)  # sqrt(beta1 * p1) * Xi1 with beta1*p1 = 4
+    x1, _ = block_on_draws(params, (0.0, 1.0 / math.sqrt(1.0 - rs), 0.0)).x[0]
+    assert x1 == pytest.approx(2.0)  # sqrt(beta1 * p1) * Xi1 with beta1*p1 = 4
 
 
 def test_gamma_scale_gives_unit_power():
@@ -186,20 +196,24 @@ def test_posterior_matches_naive_recursion():
     rs = params.rho_star()
     sched = coder.coeff_schedule(params)
     # one more use shows the error left after n updates: u_i at use n + 1
-    # is sqrt(beta_i P_i) en_i, transmitter 2 with the sign of corr
+    # is sqrt(beta_i P_i) en_i, transmitter 2 with the sign of corr.  The
+    # engine keeps no y1, so the observations are the replay's, which
+    # test_batched_engine_matches_step_replay ties to the engine's bits
     rng = np.random.default_rng(5)
     z = rng.standard_normal(n + 4)
     w = rng.standard_normal(n + 1)
-    tr = coder.simulate_block(dataclasses.replace(params, n=n + 1), 1, 1,
-                              FixedDraws(z, np.zeros(n + 4), w))
+    longer = dataclasses.replace(params, n=n + 1)
+    draws = (z, np.zeros(n + 4), w)
+    u1, u2 = block_of_one(longer, 1, 1, FixedDraws(*draws)).u(n + 1)
+    fields, _ = replay_block(longer, 1, 1, FixedDraws(*draws))
     sign2 = -1.0 if sched.corr < 0.0 else 1.0
-    err = (tr.u1[n] / math.sqrt(params.beta1 * cfg.p1),
-           tr.u2[n] / (sign2 * math.sqrt(params.beta2 * cfg.p2)))
+    err = (u1[0] / math.sqrt(params.beta1 * cfg.p1),
+           u2[0] / (sign2 * math.sqrt(params.beta2 * cfg.p2)))
     xi = (math.sqrt(1 - rs) * z[1] + math.sqrt(rs) * z[2],
           math.sqrt(1 - rs) * z[0] + math.sqrt(rs) * z[2])
     nic_gain = (cfg.h11 * math.sqrt((1 - params.beta1) * cfg.p1)
                 + cfg.h12 * math.sqrt((1 - params.beta2) * cfg.p2))
-    yps = tr.y1[:n] - nic_gain * w[:n]
+    yps = fields["y1"][:n] - nic_gain * w[:n]
     mean, cov = naive_posterior(params, yps)
     for i in (0, 1):
         # Xi_i - Xihat_i = sigma_i en_i
@@ -237,7 +251,7 @@ def test_decode_noiseless_run():
         (m1, m2)
     # without any noise the engine's estimate is that same 0
     assert block_on_draws(params, (0.0, 0.0, 0.0), m1=m1, m2=m2).m_hat == \
-        (m1, m2)
+        [(m1, m2)]
 
 
 def test_decode_with_perfect_estimate():
@@ -350,20 +364,27 @@ def test_decode_exact_matches_decoder_path():
     assert got == want
 
 
-def as_bits(field):
-    """A trace field in a form whose == compares floats bit for bit."""
-    if isinstance(field, (tuple, bool)):
-        return field
-    return np.asarray(field, dtype=float).tobytes()
+def as_bits(value):
+    """value in a form whose == compares floats bit for bit."""
+    if isinstance(value, (tuple, bool)):
+        return value
+    return np.asarray(value, dtype=float).tobytes()
 
 
-def assert_same_bits(trace, fields, k):
-    """Every TransmissionTrace field of trace equals the replay's, bitwise."""
-    names = [f.name for f in dataclasses.fields(coder.TransmissionTrace)]
-    assert sorted(fields) == sorted(names)
-    for name in names:
-        assert as_bits(getattr(trace, name)) == as_bits(fields[name]), \
-            (k, name)
+def assert_same_bits(batch, j, fields, k):
+    """Trial j of batch equals the replay fields of trial k, bitwise: both
+    inputs at every use, u(t) at every t, the decisions, b_hat and the
+    energies."""
+    trials, n = len(batch.draws), len(batch.x)
+    u = np.array([batch.u(t)[:, j] for t in range(1, n + 1)])
+    got = {
+        "x1": batch.x[:, j], "x2": batch.x[:, trials + j],
+        "u1": u[:, 0], "u2": u[:, 1],
+        "m_hat": batch.m_hat[j], "error": batch.m_hat[j] != batch.m_true[j],
+        "b_hat": batch.b_hat[j], "energy1": batch.energy1[j],
+        "energy2": batch.energy2[j]}
+    for name, value in got.items():
+        assert as_bits(value) == as_bits(fields[name]), (k, name)
 
 
 EQUIVALENCE_CASES = {
@@ -408,22 +429,22 @@ def test_batched_engine_matches_step_replay(name):
     for _, state in replays:
         assert sched.log2_sigma == state["log2_sigma"]
         assert sched.corr == state["corr"]
-    # batch of one, through simulate_block
+    # batches of one
     for k in (0, trials - 1):
-        assert_same_bits(coder.simulate_block(params, *seeded_trial(params, k)),
+        assert_same_bits(block_of_one(params, *seeded_trial(params, k)), 0,
                          replays[k][0], k)
     # the whole set as one batch of eight, seeded as mc.run seeds it
     messages, rngs = mc._chunk_inputs(params, 0, trials)
     batch = coder.simulate_batch(params, sched, messages, rngs)
     for k in range(trials):
-        assert_same_bits(batch.trace(k), replays[k][0], k)
+        assert_same_bits(batch, k, replays[k][0], k)
     if name == "decode":
         assert any(batch.m_hat[k] != batch.m_true[k] for k in range(trials))
-    # an odd batch: a trial's trace does not depend on the batch size
+    # an odd batch: a trial's outputs do not depend on the batch size
     batch = coder.simulate_batch(params, sched,
                                  *mc._chunk_inputs(params, 0, 5))
     for k in range(5):
-        assert_same_bits(batch.trace(k), replays[k][0], k)
+        assert_same_bits(batch, k, replays[k][0], k)
 
 
 SCHEDULE_SETTINGS = [
@@ -504,8 +525,8 @@ def test_error_bound_properties():
     assert coder.error_bound(p0)[0] <= 1.0
     with pytest.raises(ValueError, match="beta_i > 0"):
         coder.error_bound(make_params(beta1=0.0))
-    trace = coder.simulate_block(p0, *seeded_trial(p0, 0))
-    assert not trace.error
+    batch = block_of_one(p0, *seeded_trial(p0, 0))
+    assert batch.m_hat == batch.m_true
 
 
 # --- whole blocks ---------------------------------------------------------------
@@ -514,14 +535,15 @@ def test_block_power_accounting():
     params = make_params(n=400, r1=0.5, r2=0.5, beta1=0.7, beta2=0.7)
     batch = coder.simulate_batch(params, coder.coeff_schedule(params),
                                  *mc._chunk_inputs(params, 0, 40))
-    traces = [batch.trace(k) for k in range(40)]
-    for tr in traces:
-        # init phase spends at most P_i per active use
-        assert tr.init_uses[1, 0] ** 2 <= SYM10.p1 + 1e-12  # x1 of use 1
-        assert tr.init_uses[0, 1] ** 2 <= SYM10.p2 + 1e-12  # x2 of use 0
-    # mean consumed energy per transmitter stays near the (n+1) P_i design
-    mean_e1 = np.mean([tr.energy1 for tr in traces])
     n = params.n
+    m1s, m2s = zip(*batch.m_true)
+    # the init phase spends at most P_i on transmitter i's one active use
+    th1 = coder.message_points(m1s, params.r1, n, SYM10.p1)
+    th2 = coder.message_points(m2s, params.r2, n, SYM10.p2)
+    assert (th1 ** 2 <= SYM10.p1 + 1e-12).all()
+    assert (th2 ** 2 <= SYM10.p2 + 1e-12).all()
+    # mean consumed energy per transmitter stays near the (n+1) P_i design
+    mean_e1 = np.mean(batch.energy1)
     assert mean_e1 <= (n + 1) * SYM10.p1 * 1.02
     assert mean_e1 >= 0.6 * n * SYM10.p1
 

@@ -8,12 +8,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gmac_seit"
 # public names kept without an in-package caller, each for a stated reason
 ALLOWED = {
     "error_bound": "decoding-error bound; test_mc and acceptance compare "
-                   "Monte Carlo error rates against it",
-    "simulate_block": "batch-of-one seam the oracle tests drive with "
-                      "FixedDraws",
-    "sample_boundary_records": "boundary_table's rows as records; the tests "
-                               "and the benchmark's worker read them until "
-                               "BoundarySample goes",
+                   "Monte Carlo error rates against it until an exact "
+                   "error probability replaces it",
+    "sample_boundary_records": "boundary_table's rows as records; the "
+                               "benchmark's worker draws its contains "
+                               "triplets from them, and the tests read "
+                               "them, until the worker reads boundary_table "
+                               "rows",
 }
 
 # public methods and properties kept without an in-package attribute access
