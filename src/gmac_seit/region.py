@@ -15,7 +15,11 @@ bound overflows float64: r1 depends on (beta1, rho) and r2 on (beta2,
 rho) only, so only rsum and b are full grids.  The membership grid is
 cached rho-major.  contains tests it in blocks of 1, 1, 2, 4, ... rho
 slices from rho = 0 up and stops at the first block with a hit; on a
-miss it refines from the best point of every slice.
+miss it refines from the best point of every slice, one coordinate pass
+at a time.  Before each pass it drops the starts whose slack cannot reach
+t anywhere in the box they can still reach, by a bound monotone in each
+coordinate, so no verdict moves; a pass scores its probes through a line
+kernel that evaluates the terms free of its coordinate once.
 
 The boundary is a 3-D maxima sweep over the two sum-rate corners of each
 grid point's box, one row per point where the two are equal (a slack sum
@@ -245,18 +249,115 @@ def _probe_tree():
 _ROWS, _FIRST, _XY, _DEC, _MID, _LEAF = _probe_tree()
 
 
-def _refine_coord(score, pts: np.ndarray, c: int, h: float,
+def _slack(t: RateTriplet, r1, r2, rs, b):
+    """contains' score: the least slack of t under the bounds (r1, r2, rs, b)."""
+    return np.minimum(np.minimum(r1 - t.r1, r2 - t.r2),
+                      np.minimum(rs - (t.r1 + t.r2), b - t.b))
+
+
+def _line_slack(cfg: ChannelConfig, t: RateTriplet, pts: np.ndarray, c: int):
+    """line(v): _slack(t, *_boxes(cfg, *q)) at the (m, n) probes v along row
+    c of pts, q being pts with row c replaced by v, m <= _ROWS - 8, bit for
+    bit.
+
+    Every term of _boxes free of row c is evaluated once, here, and tiled
+    to the largest round of probes.  A call computes the rest with _boxes'
+    operations in _boxes' order (only the two operands of a sum or product
+    may swap, which is exact), the log2 arguments of the rates that move
+    stacked into one log2, one 0.5 * and one subtraction of t's rates.
+    """
+    s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
+    b1, b2, rho = pts
+    e0, ts = 1.0 + s21 + s22, t.r1 + t.r2
+
+    def tile(*terms):  # (n,) terms as one contiguous (k, _ROWS - 8, n)
+        out = np.empty((len(terms), _ROWS - 8, len(rho)))
+        out[:] = np.array(terms)[:, None]
+        return out
+
+    def rates(x, tr):  # log2 arguments to slacks, in place
+        np.log2(x, out=x)
+        x *= 0.5
+        x -= tr
+        return x
+
+    a, cc = b1 * s11, b2 * s12
+    if c == 2:
+        f = tile(a, cc, 1.0 + a + cc, np.sqrt(a * b2 * s12),
+                 np.sqrt(b1 * s21 * b2 * s22),
+                 2.0 * np.sqrt((1.0 - b1) * s21 * (1.0 - b2) * s22))
+        ac, (apc, sa, sb, nic) = f[:2], f[2:]
+        tr = np.array([t.r1, t.r2, ts])[:, None, None]
+
+        def line(v):
+            m = len(v)
+            x = np.empty((3,) + v.shape)
+            np.multiply(ac[:, :m], 1.0 - v * v, out=x[:2])
+            x[:2] += 1.0
+            np.multiply(2.0 * v, sa[:m], out=x[2])
+            x[2] += apc[:m]
+            r1, r2, rs = rates(x, tr)
+            b = e0 + 2.0 * (v * sb[:m]) + nic[:m]
+            return np.minimum(np.minimum(r1, r2), np.minimum(rs, b - t.b))
+        return line
+
+    # off the rho row, _boxes' three square roots are sqrt(u * w * k), with
+    # u = (beta1 SNR11, beta1 SNR21, (1 - beta1) SNR21) of beta1, w = (beta2,
+    # beta2, 1 - beta2) of beta2 and k = (SNR12, SNR22, SNR22); the side of
+    # row c moves, and the rate of the other row stays
+    om = 1.0 - rho * rho
+    stay = 0.5 * np.log2(1.0 + (cc, a)[c] * om) - (t.r2, t.r1)[c]
+    f = tile(om, rho, 2.0 * rho, stay, cc if c == 0 else 1.0 + a,
+             *((b2, b2, 1.0 - b2) if c == 0
+               else (a, b1 * s21, (1.0 - b1) * s21)))
+    (fom, frho, frho2, fstay, base), side = f[:5], f[5:]
+    u, k = np.array([[s11, s21, s21], [s12, s22, s22]])[:, :, None, None]
+    tr = np.array([(t.r1, t.r2)[c], ts])[:, None, None]
+
+    def line(v):
+        m = len(v)
+        z = np.empty((3,) + v.shape)  # the moving side, then the roots
+        z[:2] = v
+        np.subtract(1.0, v, out=z[2])
+        if c == 0:
+            z *= u
+            own = z[0]  # beta1 SNR11, read before z moves on
+            q = base[:m] + (1.0 + own)
+        else:
+            own = v * s12
+            q = base[:m] + own
+        x = np.empty((2,) + v.shape)
+        np.multiply(own, fom[:m], out=x[0])
+        x[0] += 1.0
+        z *= side[:, :m]
+        z *= k
+        np.sqrt(z, out=z)
+        np.multiply(frho2[:m], z[0], out=x[1])
+        x[1] += q
+        r, rs = rates(x, tr)
+        z[1] *= frho[:m]
+        z[1:] *= 2.0
+        b = e0 + z[1]
+        b += z[2]
+        r1, r2 = (r, fstay[:m]) if c == 0 else (fstay[:m], r)
+        return np.minimum(np.minimum(r1, r2), np.minimum(rs, b - t.b))
+    return line
+
+
+def _refine_coord(line, pts: np.ndarray, c: int, h: float,
                   fx: np.ndarray) -> np.ndarray:
-    """Golden-section maximization of score along coordinate c, in place.
+    """Golden-section maximization along coordinate c, in place.
 
     Each column of pts (rows beta1, beta2, rho) is a start with its own
-    bracket [x - h, x + h] clipped to [0, 1].  fx is score(pts) on entry
-    and the return value score(pts) on exit, bit for bit.  After
-    _GOLDEN_STEPS steps a column keeps its start when the bracket's
-    midpoint scores worse, so no column's score ever falls.
+    bracket [x - h, x + h] clipped to [0, 1].  line(v) scores the (m, n)
+    probes v along row c, m <= _ROWS - 8, each against its own column of
+    pts; fx is the score of pts on entry and the return value that of pts
+    on exit, bit for bit.  After _GOLDEN_STEPS steps a column keeps its
+    start when the bracket's midpoint scores worse, so no column's score
+    ever falls.
 
     A step goes left where f(lo) >= f(hi).  A round's first branch is
-    known, so one score call takes the 1 + 2 + 4 + 8 probes of its
+    known, so one line call takes the 1 + 2 + 4 + 8 probes of its
     _GOLDEN_DEPTH steps (the last round's also the 8 leaves' midpoints).
     Points are rows of p, their scores rows of s: 0-3 a round's bracket, 8
     its first probe, 4-7 that step's child, the tree's root.  There, by
@@ -264,25 +365,18 @@ def _refine_coord(score, pts: np.ndarray, c: int, h: float,
     gather of rows, (X, Y) = (hi, a) left and (lo, b) right; one compare
     decides all 7 inner nodes, whose bits, packed, pick the leaf one flat
     take reads.  lo - gr * (lo - b) is lo + gr * (b - lo) bit for bit
-    (negation is exact, rounding to nearest symmetric); score is
+    (negation is exact, rounding to nearest symmetric); line is
     elementwise, so probes, pts and scores are the step-by-step search's.
     """
     x = pts[c]
     n = x.size
-    fixed = np.tile(np.delete(pts, c, 0), _ROWS - 8)  # the fixed rows
-
-    def f(v):  # scores of the (m, n) probes v, as (m, n)
-        q = list(fixed[:, :v.size])
-        q.insert(c, v.ravel())
-        return score(q).reshape(v.shape)
-
     p, s = ps = np.empty((2, _ROWS, n))
     cols = np.arange(n)
     first, leaf = _FIRST[:, :, None] * n + cols, _LEAF.T * n
     a, b = np.maximum(0.0, x - h), np.minimum(1.0, x + h)
     g = _GR * (b - a)
     p[:4] = a, b - g, a + g, b
-    s[1:3] = f(p[1:3])
+    s[1:3] = line(p[1:3])
     for last in [False] * (_GOLDEN_STEPS // _GOLDEN_DEPTH - 1) + [True]:
         k = np.where(s[1] >= s[2], first[0], first[1])
         u, v = ps.take(k[:2])
@@ -294,7 +388,7 @@ def _refine_coord(score, pts: np.ndarray, c: int, h: float,
         if last:
             np.multiply(0.5, np.add(*p.take(_MID, axis=0)), out=p[out.stop:])
         end = _ROWS if last else out.stop
-        s[8:end] = f(p[8:end])
+        s[8:end] = line(p[8:end])
         s[5:7] = ps.take(k[6:])
         lo, hi = s.take(_DEC, axis=0)
         code = np.packbits(lo >= hi, axis=0, bitorder="little")[0]
@@ -304,9 +398,34 @@ def _refine_coord(score, pts: np.ndarray, c: int, h: float,
     return np.where(t[7] >= fx, t[7], fx)
 
 
+def _slack_bound(cfg: ChannelConfig, t: RateTriplet, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """An upper bound on _slack over each column's box [lo, hi] in [0, 1]^3
+    (rows beta1, beta2, rho), up to rounding.
+
+    With rho >= 0 each bound of _boxes is monotone in each coordinate: r1
+    and r2 rise with their own beta and fall with rho, rsum rises with all
+    three, and of b's two square roots the first rises with all three and
+    the second falls with both betas.  So r1 and r2 are taken at (beta_hi,
+    rho_lo), rsum at the upper corner, and each root of b at its own
+    corner.
+    """
+    s21, s22 = cfg.snr21, cfg.snr22
+    r1, r2, rs, _ = _boxes(cfg, hi[0], hi[1], np.stack([lo[2], hi[2]]))
+    b = (1.0 + s21 + s22 + 2.0 * (hi[2] * np.sqrt(hi[0] * s21 * hi[1] * s22))
+         + 2.0 * np.sqrt((1.0 - lo[0]) * s21 * (1.0 - lo[1]) * s22))
+    return _slack(t, r1[0], r2[0], rs[1], b)
+
+
 # most grid points per block of contains' slack scan; a block holds whole
 # rho slices, at least one
 _SLACK_BLOCK = 8192
+# rounding allowance of contains' start bound: absolute on the
+# coordinates, where a pass's brackets, probes and midpoints may fall a few
+# ulps outside x +- h, and relative to t on the slack, where a score and the
+# bound's corner values round apart by a few ulps; thousands of ulps at
+# either scale, yet a thousandth of contains' 1e-9 relative slack
+_ROUNDING = 1e-12
 
 
 def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
@@ -316,18 +435,29 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
     True means some operating point on (or refined near) the uniform
     (beta1, beta2, rho) grid, grid_n^3 points (grid_n^2 at rho = 0 without
     feedback), dominates t; False only means none was found at this
-    resolution.  Comparisons carry a 1e-9 relative slack so that triplets
-    sitting exactly on a box face (a closure point) are not rejected by
-    roundoff.
+    resolution.  Comparisons carry a 1e-9 relative slack eps so that
+    triplets sitting exactly on a box face (a closure point) are not
+    rejected by roundoff.
 
     The grid is tested in blocks of rho slices from rho = 0 up, of 1, 1,
     2, 4, ... slices, and the test stops at the first block with a hit.
     On a miss, the best grid point of every rho slice starts a coordinate
     refinement, which stops at the first pass that certifies t: no pass
     lowers a start's score, which depends on that start alone, so the
-    verdict holds.  A grid whose bounds overflow float64 raises ValueError.
+    verdict holds.  A pass scores its probes through a line kernel that
+    _line_slack builds once for the pass.
+
+    Before each pass, every start is dropped whose slack cannot reach
+    -eps anywhere in the box it can still reach: its point plus or minus h
+    for each pass left on each coordinate, bounded by _slack_bound with
+    _ROUNDING's allowance.  A dropped start never certifies t, and every
+    score is elementwise per column, so the kept starts take the same
+    probes bit for bit whichever others are dropped: neither the verdict
+    nor the pass that decides it depends on the drop.  With no start left,
+    t is rejected.  A grid whose bounds overflow float64 raises ValueError.
     """
-    eps = 1e-9 * max(1.0, t.r1, t.r2, t.b)
+    scale = max(1.0, t.r1, t.r2, t.b)
+    eps = 1e-9 * scale
     g, rho, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback, grid_n)
     t1, t2, ts, tb = t.r1 - eps, t.r2 - eps, t.r1 + t.r2 - eps, t.b - eps
     lo = 0
@@ -340,10 +470,6 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
             return True
         lo = part.stop
 
-    def slack(r1, r2, rs, b):
-        return np.minimum(np.minimum(r1 - t.r1, r2 - t.r2),
-                          np.minimum(rs - (t.r1 + t.r2), b - t.b))
-
     # multi-start: the global slack argmax can sit in the wrong basin, so
     # refine from the best grid point of every rho slice at once: its
     # first argmax, a NaN counting as the largest, taken a block of slices
@@ -352,14 +478,25 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
     n2 = grid_n * grid_n
     step = max(1, _SLACK_BLOCK // n2)
     row = np.concatenate([
-        np.argmax(slack(*(a[k:k + step] for a in (r1b, r2b, rsb, bb)))
+        np.argmax(_slack(t, *(a[k:k + step] for a in (r1b, r2b, rsb, bb)))
                   .reshape(-1, n2), axis=1)
         for k in range(0, len(rho), step)])
     pts = np.stack([g[row // grid_n], g[row % grid_n], rho])
     h = 1.0 / (grid_n - 1)
-    fx = slack(*_boxes(cfg, *pts))
-    for c in (0, 1, 2) * 2 if feedback else (0, 1) * 2:  # two sweeps
-        fx = _refine_coord(lambda q: slack(*_boxes(cfg, *q)), pts, c, h, fx)
+    fx = _slack(t, *_boxes(cfg, *pts))
+    floor = -eps - _ROUNDING * scale
+    coords = (0, 1, 2) * 2 if feedback else (0, 1) * 2  # two sweeps
+    for j, c in enumerate(coords):
+        # a pass moves its coordinate by at most h, up to rounding
+        reach = np.array([[coords[j:].count(k)] for k in range(3)]) * (
+            h + _ROUNDING)
+        keep = np.flatnonzero(_slack_bound(
+            cfg, t, np.maximum(0.0, pts - reach),
+            np.minimum(1.0, pts + reach)) >= floor)
+        if not keep.size:
+            return False
+        pts, fx = pts[:, keep], fx[keep]
+        fx = _refine_coord(_line_slack(cfg, t, pts, c), pts, c, h, fx)
         if bool((fx >= -eps).any()):
             return True
     return False
@@ -452,6 +589,12 @@ def time_sharing_sum_rate(cfg: ChannelConfig, b: float, grid_n: int = 101) -> fl
 # feedback energy-gain analytics
 
 
+# below this x = 4 SNR11 SNR12 / (SNR11 + SNR12), gamma takes the form that
+# does not cancel; above it the closed form keeps the bits that the golden
+# tables pin (the default ratio grid starts at x = 2e-6)
+_GAMMA_CUT = 2.0 ** -20
+
+
 def b_fb_at_nf_sum_capacity(cfg: ChannelConfig) -> tuple[float, float]:
     """(gamma, b_fb): largest energy rate compatible with the no-feedback
     maximum sum rate when feedback is available.
@@ -467,8 +610,13 @@ def b_fb_at_nf_sum_capacity(cfg: ChannelConfig) -> tuple[float, float]:
     if den == 0.0:
         raise DegenerateSnrError(
             f"2*SNR11*SNR12 underflows to 0 at SNR11 = {s11}, SNR12 = {s12}")
-    gamma = ((s11 + s12) / den) * (
-        math.sqrt(1.0 + 4.0 * s11 * s12 / (s11 + s12)) - 1.0)
+    x = 4.0 * s11 * s12 / (s11 + s12)
+    if x < _GAMMA_CUT:
+        # the same closed form, as (S11 + S12) / (2 S11 S12) = 2 / x:
+        # sqrt(1 + x) - 1 cancels at small x, to gamma > 1 at SNR 1e-12
+        gamma = 2.0 / (1.0 + math.sqrt(1.0 + x))
+    else:
+        gamma = ((s11 + s12) / den) * (math.sqrt(1.0 + x) - 1.0)
     b_fb = 1.0 + s21 + s22 + 2.0 * _sqrt_product((1.0 - gamma) * s21, s22)
     return gamma, b_fb
 

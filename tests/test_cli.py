@@ -260,6 +260,17 @@ def test_ratio_endpoints(tmp_path):
     assert rows[-1, 1] == pytest.approx(2.0, abs=2e-3)
     assert np.allclose(rows[:, 2], 2.0)
     assert ((rows[:, 1] >= 1.0 - 1e-12) & (rows[:, 1] <= 2.0 + 1e-12)).all()
+    # at SNR 1e-12, sqrt(1 + x) - 1 in gamma's closed form once cancelled
+    # to gamma > 1 and a math domain error
+    assert run_cli(["ratio", "--asym", "4", "--snr-min", "1e-12",
+                    "--snr-max", "1e-9", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert ((rows[:, 1] >= 1.0) & (rows[:, 1] <= 2.0)).all()
+    for s in rows[:, 0]:
+        cfg = channel.from_snr(4 * s, s, 4 * s, s)
+        x = 4 * cfg.snr11 * cfg.snr12 / (cfg.snr11 + cfg.snr12)
+        gamma, _ = region.b_fb_at_nf_sum_capacity(cfg)
+        assert gamma == pytest.approx(2 / (1 + math.sqrt(1 + x)), rel=1e-12)
 
 
 def test_simulate_reproducible(tmp_path):

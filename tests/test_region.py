@@ -257,7 +257,8 @@ def test_refine_coord_returns_column_scores(feedback):
     raised = False
     for c in (0, 1, 2) * 2 if feedback else (0, 1) * 2:
         entry = fx
-        fx = region._refine_coord(score, pts, c, 0.1, entry)
+        fx = region._refine_coord(region._line_slack(SYM10, t, pts, c), pts,
+                                  c, 0.1, entry)
         assert fx.tobytes() == score(pts).tobytes()
         assert (fx >= entry).all()
         raised |= bool((fx > entry).any())
@@ -303,10 +304,22 @@ def starts(n):
         [0.0, 1.0, 0.5, 1.0 / 47.0]))
 
 
+def on_line(score, pts, c):
+    """score, a function of the three rows, as _refine_coord's line(v):
+    the scores of the (m, n) probes v along row c of pts as it is now."""
+    rows = pts.copy()
+
+    def line(v):
+        q = [np.broadcast_to(r, v.shape) for r in rows]
+        q[c] = v
+        return score(q)
+    return line
+
+
 def assert_replays_step_by_step(score, pts, c, h):
     fx = score(pts)
     want_pts, want = golden_section_replay(score, pts, c, h, fx)
-    got = region._refine_coord(score, pts, c, h, fx)
+    got = region._refine_coord(on_line(score, pts, c), pts, c, h, fx)
     assert pts.tobytes() == want_pts.tobytes()
     assert got.tobytes() == want.tobytes()
 
@@ -342,37 +355,89 @@ def test_refine_coord_replays_step_by_step_on_box_slack(snr, fb, scale, pick,
     assert_replays_step_by_step(slack_score(cfg, t), pts, c, 1.0 / (grid - 1))
 
 
+snr_or_zero = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e) | st.just(0.0)
+rates = st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 8.0),
+                  st.floats(0.0, 2e3)).map(lambda r: region.RateTriplet(*r))
+
+
+@given(st.tuples(*[snr_or_zero] * 4), rates,
+       st.sampled_from([1, 48]).flatmap(
+           lambda n: st.tuples(starts(n), st.sampled_from([2, 15, 23]).flatmap(
+               lambda m: hnp.arrays(np.float64, (m, n), elements=unit | (
+                   st.sampled_from([0.0, 1.0])))))),
+       st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_line_slack_matches_boxes_bitwise(snr, t, probes, c):
+    # a pass's line kernel evaluates only the terms of row c, yet every
+    # score is slack of _boxes at the probe, byte for byte
+    cfg = channel.from_snr(*snr)
+    pts, v = probes
+    q = [np.broadcast_to(r, v.shape) for r in pts]
+    q[c] = v
+    want = slack_score(cfg, t)(q)
+    assert region._line_slack(cfg, t, pts, c)(v).tobytes() == want.tobytes()
+
+
+@given(st.tuples(*[snr_or_zero] * 4), rates,
+       hnp.arrays(np.float64, (3, 2, 8), elements=unit),
+       hnp.arrays(np.float64, (3, 8), elements=unit | st.sampled_from(
+           [0.0, 1.0])))
+@settings(max_examples=200, deadline=None)
+def test_slack_bound_holds_over_box(snr, t, ends, where):
+    # the start bound that lets contains drop a start holds, up to its
+    # rounding allowance, at every point of the box, the corners among
+    # them (where 0 or 1 picks one)
+    cfg = channel.from_snr(*snr)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    p = np.clip(lo + where * (hi - lo), lo, hi)
+    bound = region._slack_bound(cfg, t, lo, hi)
+    mu = region._ROUNDING * max(1.0, t.r1, t.r2, t.b)
+    assert (slack_score(cfg, t)(p) <= bound + mu).all()
+
+
+def keep_every_start(cfg, t, lo, hi):
+    """A stand-in for _slack_bound under which contains keeps every start."""
+    return np.full(lo.shape[1], np.inf)
+
+
 def test_refine_coord_scores_eleven_times_per_pass(monkeypatch):
     # one call for the opening pair and one per four steps: a search that
     # went back to one probe per call would make 43
     t = region.RateTriplet(1.6, 1.5, 30.0)
     calls = []
 
-    def counted(score):
-        def wrapped(q):
-            calls.append(q)
-            return score(q)
+    def counted(line):
+        def wrapped(v):
+            calls.append(v)
+            return line(v)
         return wrapped
 
     for n in (1, 48):
         pts = np.random.default_rng(n).uniform(0.0, 1.0, (3, n))
         score = slack_score(SYM10, t)
         calls.clear()
-        region._refine_coord(counted(score), pts, 1, 0.1, score(pts))
+        region._refine_coord(counted(region._line_slack(SYM10, t, pts, 1)),
+                             pts, 1, 0.1, score(pts))
         assert len(calls) == 11
     refine = region._refine_coord
     per_pass = []
 
-    def refine_counted(score, *args):
+    def refine_counted(line, *args):
         calls.clear()
-        out = refine(counted(score), *args)
+        out = refine(counted(line), *args)
         per_pass.append(len(calls))
         return out
 
     monkeypatch.setattr(region, "_refine_coord", refine_counted)
+    far = region.RateTriplet(3.0, 3.0, 40.0)
+    # no start of this triplet can certify it, so the start bound drops
+    # them all before the first pass
     for fb in (True, False):
-        assert not region.contains(SYM10, region.RateTriplet(3.0, 3.0, 40.0),
-                                   feedback=fb, grid_n=9)
+        assert not region.contains(SYM10, far, feedback=fb, grid_n=9)
+    assert per_pass == []
+    monkeypatch.setattr(region, "_slack_bound", keep_every_start)
+    for fb in (True, False):
+        assert not region.contains(SYM10, far, feedback=fb, grid_n=9)
     assert per_pass == [11] * 10
 
 
@@ -483,14 +548,18 @@ def test_contains_grid_test_and_starts_match_flat_oracle(grid, fb,
     # contains tests its grid in blocks of 1, 1, 2, 4, ... rho slices (the
     # last block partial at every grid here but 2) and takes the starts
     # from blocks of whole slices; its verdict and the first pass's pts and
-    # scores must be those of one flat pass over the grid, bit for bit
+    # scores must be those of one flat pass over the grid, bit for bit:
+    # every start with the start bound stood in for, and with the bound
+    # the starts whose bound over the box they can reach in the two
+    # sweeps, h per pass, clears -eps by the rounding allowance
     seen = []
 
-    def first_pass(score, pts, c, h, fx):
+    def first_pass(line, pts, c, h, fx):
         seen.append((pts.copy(), fx.copy()))
         raise _FirstPass
 
     monkeypatch.setattr(region, "_refine_coord", first_pass)
+    bound = region._slack_bound
     verdicts = []
     for snr in ((10, 10, 10, 10), (10, 3, 2, 5), (3, 20, 8, 1)):
         cfg = channel.from_snr(*snr)
@@ -500,18 +569,34 @@ def test_contains_grid_test_and_starts_match_flat_oracle(grid, fb,
                 t = region.RateTriplet(t0.r1 * s, t0.r2 * s, t0.b * s)
                 hit, want = grid_starts(flat, (t.r1, t.r2, t.b),
                                         grid if fb else 1)
-                seen.clear()
-                try:
-                    got = region.contains(cfg, t, feedback=fb, grid_n=grid)
-                except _FirstPass:
-                    got = None
                 verdicts.append(hit)
-                if hit:
-                    assert got is True and seen == []
-                    continue
-                pts, fx = seen[0]
-                assert pts.tobytes() == want.tobytes()
-                assert fx.tobytes() == slack_score(cfg, t)(want).tobytes()
+                if not hit:
+                    scale = max(1.0, t.r1, t.r2, t.b)
+                    reach = np.array([[2], [2], [2 if fb else 0]]) * (
+                        1.0 / (grid - 1) + region._ROUNDING)
+                    kept = bound(cfg, t, np.maximum(0.0, want - reach),
+                                 np.minimum(1.0, want + reach)) >= (
+                        -1e-9 * scale - region._ROUNDING * scale)
+                for bounded in (False, True):
+                    monkeypatch.setattr(region, "_slack_bound",
+                                        bound if bounded else keep_every_start)
+                    seen.clear()
+                    try:
+                        got = region.contains(cfg, t, feedback=fb,
+                                              grid_n=grid)
+                    except _FirstPass:
+                        got = None
+                    if hit:
+                        assert got is True and seen == []
+                        continue
+                    cols = want[:, kept] if bounded else want
+                    if not cols.size:
+                        assert got is False and seen == []
+                        continue
+                    pts, fx = seen[0]
+                    assert pts.tobytes() == cols.tobytes()
+                    assert fx.tobytes() == slack_score(cfg, t)(
+                        cols).tobytes()
     assert not all(verdicts)
     assert any(verdicts) or grid == 2
 
