@@ -13,13 +13,16 @@ Both grids, membership's and the boundary's, are one builder's _boxes on
 broadcast (beta1, beta2, rho) axes, never a meshgrid, refused where a
 bound overflows float64: r1 depends on (beta1, rho) and r2 on (beta2,
 rho) only, so only rsum and b are full grids.  The membership grid is
-cached rho-major.  contains tests it in blocks of 1, 1, 2, 4, ... rho
-slices from rho = 0 up and stops at the first block with a hit; on a
-miss it refines from the best point of every slice, one coordinate pass
-at a time.  Before each pass it drops the starts whose slack cannot reach
-t anywhere in the box they can still reach, by a bound monotone in each
-coordinate, so no verdict moves; a pass scores its probes through a line
-kernel that evaluates the terms free of its coordinate once.
+cached rho-major, and so is a cover of its maxima, built on the first
+contains call per grid: grid points, a tenth or less of them at grid 48,
+such that each grid point's four bounds are at most those of one of
+them.  contains tests the cover, which a triplet hits iff it hits the
+grid; on a miss it refines from the best point of every slice of the
+full grid, one coordinate pass at a time.  Before each pass it drops the
+starts whose slack cannot reach t anywhere in the box they can still
+reach, by a bound monotone in each coordinate, so no verdict moves; a
+pass scores its probes through a line kernel that evaluates the terms
+free of its coordinate once.
 
 The boundary is a 3-D maxima sweep over the two sum-rate corners of each
 grid point's box, one row per point where the two are equal (a slack sum
@@ -217,6 +220,67 @@ def _region_grid(cfg: ChannelConfig, feedback: bool, n: int, name: str,
 def _grid_boxes(cfg: ChannelConfig, feedback: bool, grid_n: int):
     """contains' grid, cached; [k, i, j] is the point (g[i], g[j], rho[k])."""
     return _region_grid(cfg, feedback, grid_n, "grid_n", (1, 2, 0))
+
+
+def _beaten(q, p) -> np.ndarray:
+    """Where each of the four bounds that q yields is at least the one that
+    p yields, one of them greater; one pair is held at a time."""
+    ge, gt = True, False
+    for u, v in zip(q, p):
+        ge, gt = ge & (u >= v), gt | (u > v)
+    return ge & gt
+
+
+@lru_cache(maxsize=32)
+def _grid_cover(cfg: ChannelConfig, feedback: bool, grid_n: int):
+    """contains' grid test set, cached: the (4, M) bounds (r1, r2, rsum, b)
+    of grid points such that each grid point's four bounds are at most
+    those of one of them.
+
+    A point leaves only for a witness whose four bounds are all at least
+    its own, one of them greater, compared as floats; that order is
+    strict, so every chain of witnesses ends at a point that stays.  Slice
+    by slice from rho = 0 up, each point kept from an earlier slice meets
+    the largest b of slice k where r1 and r2 are at least its own (r1 rises
+    with beta1 and r2 with beta2, so that set is a quadrant, its corner a
+    searchsorted rank in the slice's rows), and each point of slice k the
+    largest b of its upper (beta1, beta2) quadrant.  Whatever order the
+    floats keep, a witness is checked, so the set covers.
+    """
+    g, rho, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback, grid_n)
+    n, n2 = grid_n, grid_n * grid_n
+    r1, r2 = r1b.reshape(-1, n), r2b.reshape(-1, n)
+
+    def bounds(f):  # of points f = k n^2 + i n + j, one at a time
+        yield r1.take(f // n)
+        yield r2.take(f // n2 * n + f % n)
+        yield rsb.take(f)
+        yield bb.take(f)
+
+    keep = np.empty(0, np.min_scalar_type(bb.size))
+    own = np.arange(n2)  # a slice's points, less k n^2
+    z = np.zeros((n + 1, n + 1), complex)  # 0 past the slice's edges
+    for k in range(len(rho)):
+        pts = (k * n2 + own).astype(keep.dtype)
+        # z[i, j]: the largest b + 1j * pts over [i:, j:], as complex
+        # maxima order by the real part, then the imaginary
+        z[:n, :n] = bb[k] + 1j * pts.reshape(n, n)
+        for ax in (0, 1):
+            r = np.flip(z, ax)
+            np.maximum.accumulate(r, axis=ax, out=r)
+        # each point's quadrant corner in z: by rank for the kept points,
+        # (i, j) for slice k's own
+        corner = np.concatenate([
+            np.searchsorted(r1[k], r1[:k]).take(keep // n) * (n + 1)
+            + np.searchsorted(r2[k], r2[:k]).take(keep // n2 * n + keep % n),
+            own + own // n])
+        keep = np.concatenate([keep, pts])
+        witness = bounds(z.imag.astype(keep.dtype).take(corner))
+        keep = keep[~_beaten(witness, bounds(keep))]
+    cover = np.empty((4, len(keep)))
+    for row, v in zip(cover, bounds(keep)):
+        row[:] = v
+    return cover
 
 
 _GOLDEN_DEPTH = 4  # golden-section steps that one score call resolves
@@ -439,13 +503,15 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
     triplets sitting exactly on a box face (a closure point) are not
     rejected by roundoff.
 
-    The grid is tested in blocks of rho slices from rho = 0 up, of 1, 1,
-    2, 4, ... slices, and the test stops at the first block with a hit.
-    On a miss, the best grid point of every rho slice starts a coordinate
-    refinement, which stops at the first pass that certifies t: no pass
-    lowers a start's score, which depends on that start alone, so the
-    verdict holds.  A pass scores its probes through a line kernel that
-    _line_slack builds once for the pass.
+    The grid test runs over _grid_cover's points, built on the first call
+    per grid and cached: each grid point's four bounds are at most those
+    of one of them, and each is a grid point, so the same comparisons hit
+    the cover iff they hit the grid.  On a miss, the best grid point of
+    every rho slice starts a coordinate refinement, which stops at the
+    first pass that certifies t: no pass lowers a start's score, which
+    depends on that start alone, so the verdict holds.  A pass scores its
+    probes through a line kernel that _line_slack builds once for the
+    pass.
 
     Before each pass, every start is dropped whose slack cannot reach
     -eps anywhere in the box it can still reach: its point plus or minus h
@@ -458,17 +524,13 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
     """
     scale = max(1.0, t.r1, t.r2, t.b)
     eps = 1e-9 * scale
+    r1c, r2c, rsc, bc = _grid_cover(cfg, feedback, grid_n)
+    ok = (r1c >= t.r1 - eps) & (r2c >= t.r2 - eps)
+    ok &= rsc >= t.r1 + t.r2 - eps
+    ok &= bc >= t.b - eps
+    if np.count_nonzero(ok):
+        return True
     g, rho, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback, grid_n)
-    t1, t2, ts, tb = t.r1 - eps, t.r2 - eps, t.r1 + t.r2 - eps, t.b - eps
-    lo = 0
-    while lo < len(rho):
-        part = slice(lo, max(1, 2 * lo))
-        ok = (r1b[part] >= t1) & (r2b[part] >= t2)
-        ok &= rsb[part] >= ts
-        ok &= bb[part] >= tb
-        if np.count_nonzero(ok):
-            return True
-        lo = part.stop
 
     # multi-start: the global slack argmax can sit in the wrong basin, so
     # refine from the best grid point of every rho slice at once: its
@@ -519,6 +581,22 @@ def _no_rate_left(cfg: ChannelConfig, b: float) -> bool:
     return b > bmax or (b == bmax and min(cfg.snr21, cfg.snr22) > 0.0)
 
 
+# below this x, 1 + x keeps only the bits of x above 2^-52, a relative
+# error of up to 2^-52 / x: the sum capacities take log1p(x), and gamma a
+# form of x that does not cancel; above it the closed forms keep the bits
+# that the golden tables pin (the default ratio grid starts at x = 2e-6)
+_SMALL_X = 2.0 ** -20
+
+
+def _half_log2(arg: float, x: float) -> float:
+    """0.5 * log2(arg), arg being 1 + x as the caller writes it out; below
+    x = _SMALL_X, log1p(x) / (2 ln 2), x clipped at 0 as rounding may take
+    it below."""
+    if x < _SMALL_X:
+        return math.log1p(max(0.0, x)) / (2.0 * math.log(2.0))
+    return 0.5 * log2(arg)
+
+
 def sum_capacity_fb(cfg: ChannelConfig, b: float) -> float:
     """Information sum-capacity with feedback at energy rate b."""
     if _no_rate_left(cfg, b):
@@ -527,10 +605,12 @@ def sum_capacity_fb(cfg: ChannelConfig, b: float) -> float:
     rs = solve_rho_star(cfg, 1.0, 1.0)
     edge = 1.0 + s21 + s22 + 2.0 * rs * _sqrt_product(s21, s22)
     if b <= edge:
-        return 0.5 * log2(1.0 + s11 + s12 + 2.0 * rs * _sqrt_product(s11, s12))
+        t = 2.0 * rs * _sqrt_product(s11, s12)
+        return _half_log2(1.0 + s11 + s12 + t, s11 + s12 + t)
     x = xi(cfg, b)
     om = 1.0 - x * x
-    return 0.5 * log2(1.0 + om * s11) + 0.5 * log2(1.0 + om * s12)
+    return (_half_log2(1.0 + om * s11, om * s11)
+            + _half_log2(1.0 + om * s12, om * s12))
 
 
 def sum_capacity_nf(cfg: ChannelConfig, b: float) -> float:
@@ -545,11 +625,14 @@ def sum_capacity_nf(cfg: ChannelConfig, b: float) -> float:
     edge = 1.0 + s21 + s22 + 2.0 * _sqrt_product(s21, s22) * ratio
     x = xi(cfg, b)
     if b <= edge:
-        arg = 1.0 + s11 + s12 - 2.0 * x * _sqrt_product(s11, s12)
+        t = 2.0 * x * _sqrt_product(s11, s12)
+        arg = 1.0 + s11 + s12 - t
         # >= 1 + (sqrt(s11) - sqrt(s12))^2 in exact arithmetic, not in floats
-        return 0.5 * log2(max(1.0, arg) if math.isfinite(arg) else arg)
+        return _half_log2(max(1.0, arg) if math.isfinite(arg) else arg,
+                          s11 + s12 - t)
     s = s11 if s11 >= s12 else s12  # argmax, ties toward transmitter 1
-    return 0.5 * log2(1.0 + (1.0 - x * x) * s)
+    u = (1.0 - x * x) * s
+    return _half_log2(1.0 + u, u)
 
 
 def time_sharing_sum_rate(cfg: ChannelConfig, b: float, grid_n: int = 101) -> float:
@@ -589,12 +672,6 @@ def time_sharing_sum_rate(cfg: ChannelConfig, b: float, grid_n: int = 101) -> fl
 # feedback energy-gain analytics
 
 
-# below this x = 4 SNR11 SNR12 / (SNR11 + SNR12), gamma takes the form that
-# does not cancel; above it the closed form keeps the bits that the golden
-# tables pin (the default ratio grid starts at x = 2e-6)
-_GAMMA_CUT = 2.0 ** -20
-
-
 def b_fb_at_nf_sum_capacity(cfg: ChannelConfig) -> tuple[float, float]:
     """(gamma, b_fb): largest energy rate compatible with the no-feedback
     maximum sum rate when feedback is available.
@@ -610,10 +687,15 @@ def b_fb_at_nf_sum_capacity(cfg: ChannelConfig) -> tuple[float, float]:
     if den == 0.0:
         raise DegenerateSnrError(
             f"2*SNR11*SNR12 underflows to 0 at SNR11 = {s11}, SNR12 = {s12}")
-    x = 4.0 * s11 * s12 / (s11 + s12)
-    if x < _GAMMA_CUT:
+    # x = 4 SNR11 SNR12 / (SNR11 + SNR12), as 4 / (1/S11 + 1/S12) where
+    # the product overflows
+    num = 4.0 * s11 * s12
+    over = math.isinf(num)
+    x = 4.0 / (1.0 / s11 + 1.0 / s12) if over else num / (s11 + s12)
+    if x < _SMALL_X or over:
         # the same closed form, as (S11 + S12) / (2 S11 S12) = 2 / x:
-        # sqrt(1 + x) - 1 cancels at small x, to gamma > 1 at SNR 1e-12
+        # sqrt(1 + x) - 1 cancels at small x, to gamma > 1 at SNR 1e-12,
+        # and where the products overflow the closed form reads 0 * inf
         gamma = 2.0 / (1.0 + math.sqrt(1.0 + x))
     else:
         gamma = ((s11 + s12) / den) * (math.sqrt(1.0 + x) - 1.0)

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import hashlib
 import io
 import json
@@ -233,6 +234,15 @@ def test_sumcap_where_energy_products_overflow(tmp_path):
                     "--points", "5", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert (rows[:, 1] >= rows[:, 2]).all()
+    # below b_max, rho* and xi are 0 here and both rates read
+    # 1/2 log2(1 + SNR11 + SNR12), once 1e-4 off as 1 + x kept only the
+    # bits of x above 2^-52
+    cfg = channel.from_snr(1e-12, 1e-12, 1e300, 1e30)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = decimal.Decimal(cfg.snr11) + decimal.Decimal(cfg.snr12)
+        exact = float((1 + x).ln() / (2 * decimal.Decimal(2).ln()))
+    np.testing.assert_allclose(rows[:-1, 1:], exact, rtol=1e-12, atol=0.0)
     assert run_cli(["sumcap", "--snr", "1e300,1e300,1e300,1e300",
                     "--points", "5", "--out", str(out)]) == 0
     _, rows = read_csv(out)
@@ -271,6 +281,16 @@ def test_ratio_endpoints(tmp_path):
         x = 4 * cfg.snr11 * cfg.snr12 / (cfg.snr11 + cfg.snr12)
         gamma, _ = region.b_fb_at_nf_sum_capacity(cfg)
         assert gamma == pytest.approx(2 / (1 + math.sqrt(1 + x)), rel=1e-12)
+    # where 4 * SNR11 * SNR12 overflows, gamma's closed form once read
+    # inf ("math domain error"), and from SNR 1e154 on, where 2 * SNR11 *
+    # SNR12 overflows too, 0 * inf ("ratio is nan")
+    for lo, hi in (("8e153", "9.4e153"), ("1e155", "1e160")):
+        assert run_cli(["ratio", "--snr-min", lo, "--snr-max", hi,
+                        "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        np.testing.assert_allclose(rows[:, 1], rows[:, 2], rtol=1e-12,
+                                   atol=0.0)
+        assert (rows[:, 2] == 2.0).all()
 
 
 def test_simulate_reproducible(tmp_path):
@@ -501,7 +521,7 @@ def test_region_non_finite_bounds_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["ratio", "--snr-min", "1e200", "--snr-max", "1e300", "--points", "3"],
+    ["ratio", "--snr-min", "1e300", "--snr-max", "1e308", "--points", "3"],
     ["sumcap", "--snr", "1e308,1e308,1e-6,1e30", "--points", "3"],
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -545,10 +545,10 @@ class _FirstPass(Exception):
 @pytest.mark.parametrize("grid", [2, 3, 5, 9, 17, 48])
 def test_contains_grid_test_and_starts_match_flat_oracle(grid, fb,
                                                          monkeypatch):
-    # contains tests its grid in blocks of 1, 1, 2, 4, ... rho slices (the
-    # last block partial at every grid here but 2) and takes the starts
-    # from blocks of whole slices; its verdict and the first pass's pts and
-    # scores must be those of one flat pass over the grid, bit for bit:
+    # contains tests the cover of its grid's maxima (built once per grid)
+    # and takes the starts from blocks of whole rho slices of the full
+    # grid; its verdict and the first pass's pts and scores must be those
+    # of one flat pass over the grid, bit for bit:
     # every start with the start bound stood in for, and with the bound
     # the starts whose bound over the box they can reach in the two
     # sweeps, h per pass, clears -eps by the rounding allowance
@@ -599,6 +599,41 @@ def test_contains_grid_test_and_starts_match_flat_oracle(grid, fb,
                         cols).tobytes()
     assert not all(verdicts)
     assert any(verdicts) or grid == 2
+
+
+@given(st.tuples(*[snr_or_zero] * 4), st.sampled_from([2, 3, 5, 9, 17]),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_grid_cover_covers_the_grid(snr, grid, fb):
+    # every grid point's four bounds are each at most those of one cover
+    # column, and every column is some grid point's bounds, bit for bit:
+    # so a triplet hits the cover iff it hits the grid
+    cfg = channel.from_snr(*snr)
+    cover = region._grid_cover(cfg, fb, grid)
+    bounds = np.stack(flat_grid(cfg, fb, grid)[3:])
+    above = np.ones((cover.shape[1], bounds.shape[1]), bool)
+    for c, b in zip(cover, bounds):
+        above &= c[:, None] >= b
+    assert cover.shape[0] == 4 and above.any(axis=0).all()
+    points = {col.tobytes() for col in np.ascontiguousarray(bounds.T)}
+    assert all(col.tobytes() in points
+               for col in np.ascontiguousarray(cover.T))
+
+
+def test_grid_cover_is_small_and_lean():
+    # at the benchmark's grid a tenth of the points cover the grid, and
+    # building the cover of a cached grid stays inside the margin that the
+    # grid build leaves under a first contains call's peak
+    cover = region._grid_cover(SYM10, True, 48)
+    assert cover.shape[1] <= 0.1 * 48 ** 3
+    tracemalloc.start()
+    try:
+        again = region._grid_cover.__wrapped__(SYM10, True, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.tobytes() == cover.tobytes()
+    assert peak <= 1.0e6
 
 
 # --- capacities in b ----------------------------------------------------------
