@@ -29,10 +29,6 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE_B = 3
 EXIT_IO = 4
 
-# points per axis of the time-sharing grid search (sumcap --timeshare)
-_TIMESHARE_GRID = 51
-
-
 def _parse_tuple(text: str, k: int, name: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != k:
@@ -137,8 +133,7 @@ def cmd_sumcap(args) -> int:
             for b in grid]
     if args.timeshare:
         names += ("rsum_timeshare",)
-        rows = [row + (region.time_sharing_sum_rate(cfg, row[0],
-                                                    _TIMESHARE_GRID),)
+        rows = [row + (region.time_sharing_sum_rate(cfg, row[0]),)
                 for row in rows]
     _write_table(args.out, args.format, names,
                  np.array(rows, dtype=np.float64).reshape(-1, len(names)))
@@ -241,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bmax", type=float, default=None)
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--timeshare", action="store_true",
-                   help="add the time-sharing lower bound as column "
+                   help="add the time-switching baseline as column "
                         "rsum_timeshare")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

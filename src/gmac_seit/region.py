@@ -5,9 +5,12 @@ fixed power split (beta1, beta2) and input correlation rho form a box,
 written once as _boxes over arrays or floats; the capacity region is the
 union of those boxes.  The module also carries the sum-rate-optimal
 correlation rho*, the energy-rate correlation bounds xi and rho_min, the
-piecewise sum-capacity formulas with and without feedback, a time-sharing
-baseline, the feedback energy-gain analytics, and the Pareto boundary
-sample behind the region CSV.
+piecewise sum-capacity formulas with and without feedback, the
+time-switching baseline in closed form (an information phase of
+independent full-power inputs, an energy phase of the coherent full-power
+signal), the feedback energy-gain analytics, and the Pareto boundary
+sample behind the region CSV.  No function here reads the gains or powers
+of a ChannelConfig, only its SNRs.
 
 Both grids, membership's and the boundary's, are one builder's _boxes on
 broadcast (beta1, beta2, rho) axes, never a meshgrid, refused where a
@@ -635,37 +638,28 @@ def sum_capacity_nf(cfg: ChannelConfig, b: float) -> float:
     return _half_log2(1.0 + u, u)
 
 
-def time_sharing_sum_rate(cfg: ChannelConfig, b: float, grid_n: int = 101) -> float:
-    """Grid lower bound on the best time-sharing sum rate at energy rate b.
+def time_sharing_sum_rate(cfg: ChannelConfig, b: float) -> float:
+    """Best sum rate at energy rate b of time switching between an
+    information phase and an energy phase, each within the full power
+    budgets (Zhou, Zhang & Ho, IEEE Trans. Commun. 61(11), 2013).
 
-    A fraction lam of the block carries information at powers (p1a, p2a);
-    the rest sends deterministic max-amplitude energy signals at powers
-    (p1b, p2b), chosen to saturate the average power constraint.
+    A fraction lam of the block sends independent Gaussian inputs at full
+    power, delivering energy 1 + SNR21 + SNR22; the rest sends the
+    coherent full-power signal, delivering b_max = that + d with
+    d = 2 sqrt(SNR21 SNR22).  Rate and energy are linear in lam, so the
+    best lam is the largest that meets b, clip((b_max - b) / d, 0, 1), and
+    the rate is lam * 1/2 log2(1 + SNR11 + SNR12).  Where d = 0, or b
+    needs no energy phase, lam = 1; at b_max with d > 0 the rate is 0.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
     _check_feasible_b(cfg, b)
-    h11, h12, h21, h22 = cfg.h11, cfg.h12, cfg.h21, cfg.h22
-    p1, p2 = cfg.p1, cfg.p2
-    best = 0.0  # lam = 0 (pure energy) always meets any feasible b
-    for lam in np.linspace(0.0, 1.0, grid_n)[1:]:
-        p1a, p2a = np.meshgrid(np.linspace(0.0, p1 / lam, grid_n),
-                               np.linspace(0.0, p2 / lam, grid_n), indexing="ij")
-        if lam < 1.0:
-            # rounding can push the residual power a hair below zero
-            p1b = np.maximum(0.0, (p1 - lam * p1a) / (1.0 - lam))
-            p2b = np.maximum(0.0, (p2 - lam * p2a) / (1.0 - lam))
-            energy_off = (h21 * np.sqrt(p1b) + h22 * np.sqrt(p2b)) ** 2
-        else:
-            energy_off = 0.0
-        energy = 1.0 + lam * (h21**2 * p1a + h22**2 * p2a) \
-            + (1.0 - lam) * energy_off
-        feas = energy >= b - 1e-12
-        if not feas.any():
-            continue
-        obj = (lam / 2.0) * np.log2(1.0 + h11**2 * p1a + h12**2 * p2a)
-        best = max(best, float(obj[feas].max()))
-    return best
+    if _no_rate_left(cfg, b):
+        return 0.0
+    s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
+    lam = 1.0
+    if b > 1.0 + s21 + s22:  # so d > 0, as b < b_max
+        lam = min(1.0, (max_energy_rate(cfg) - b)
+                  / (2.0 * _sqrt_product(s21, s22)))
+    return lam * _half_log2(1.0 + s11 + s12, s11 + s12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: dense scanning
 instead of bisection, exhaustive grid maximization instead of closed
-forms, a naive unnormalized covariance recursion instead of the
-log-domain one, a 2x2 matrix error-state recursion for the law of
+forms (the time-switching baseline's too), a naive unnormalized
+covariance recursion instead of the log-domain one, a 2x2 matrix
+error-state recursion for the law of
 the empirical energy rate instead of the coefficient schedule, the
 energy-side closed forms with each geometric mean as sqrt(x) * sqrt(y)
 instead of sqrt(x * y) and rho* as a polished root of phi's quartic
@@ -127,6 +128,26 @@ def brute_force_sum_capacity(cfg, b_values, grid_n=201, feedback=True):
         hit = idx < len(order)
         best[hit] = np.maximum(best[hit], top[idx[hit]])
     return best
+
+
+def brute_force_time_sharing(snr, b, n_lam=401, n_u=41):
+    """Best sum rate of time switching at energy rate b, maximized over a
+    grid of the information phase's share lam and power fractions (u1, u2).
+
+    For a share lam the information phase sends independent Gaussian
+    inputs at u_i times transmitter i's power, the energy phase the
+    coherent full-power signal, and the block's energy rate is the
+    lam-weighted mean of the two phases' energies.  lam = 0 meets every
+    b <= b_max.  The grid holds lam = 1 and u = (1, 1).
+    """
+    s11, s12, s21, s22 = snr
+    lam = np.linspace(0.0, 1.0, n_lam)[:, None, None]
+    u = np.linspace(0.0, 1.0, n_u)
+    u1, u2 = u[:, None], u[None, :]
+    coherent = 1.0 + s21 + s22 + 2.0 * math.sqrt(s21) * math.sqrt(s22)
+    energy = lam * (1.0 + u1 * s21 + u2 * s22) + (1.0 - lam) * coherent
+    rate = lam * 0.5 * np.log2(1.0 + u1 * s11 + u2 * s12)
+    return float(np.where(energy >= b, rate, 0.0).max())
 
 
 def pareto_corners(grid):

@@ -121,7 +121,7 @@ def test_acceptance_06_region_inclusion():
 
 
 def test_acceptance_07_time_sharing_strictly_worse():
-    ts = region.time_sharing_sum_rate(SYM10, 31.0, grid_n=101)
+    ts = region.time_sharing_sum_rate(SYM10, 31.0)
     cap = region.sum_capacity_nf(SYM10, 31.0)
     margin = cap - ts
     ok = margin > 0.01

@@ -85,9 +85,10 @@ def test_region_csv_golden_digest(tmp_path, name):
 
 
 # SHA-256 of the other data files, recorded with the per-format writers
-# that preceded cli._write_table; the rsum_timeshare digest comes from the
-# sumcap_curves.py script that --timeshare replaced, run with
-# --snr 10 3 2 5 --points 21
+# that preceded cli._write_table; the rsum_timeshare digest was recorded
+# from sumcap --timeshare itself once its column became the closed-form
+# time-switching baseline, whose rows with b <= 1 + SNR21 + SNR22 equal
+# rsum_nf bit for bit and whose b_max row reads 0
 TABLE_GOLDEN = {
     "region_json_sym10_fb_res16": (
         ["region", "--snr", "10,10,10,10", "--res", "16", "--format", "json"],
@@ -104,7 +105,7 @@ TABLE_GOLDEN = {
         "f66820bb1796f8d79321c598d45006120ffc44731bda19edcd8f666a02ab7fe4"),
     "sumcap_timeshare_csv": (
         ["sumcap", "--snr", "10,3,2,5", "--points", "21", "--timeshare"],
-        "ebfd175f1374c692b36ab48f3f4d8c8a46f30fb8ac0200ac3d158da7ec3f8d4d"),
+        "55f0a1a88b684423dd784eab0382c268a4a674e4196bf711b4319387305f9baa"),
     "ratio_csv": (
         ["ratio", "--points", "13", "--asym", "4"],
         "72e745d2ebfaaba33aebb657bfbd612532f246e99667600dae176c14c38549ba"),
@@ -243,6 +244,13 @@ def test_sumcap_where_energy_products_overflow(tmp_path):
         x = decimal.Decimal(cfg.snr11) + decimal.Decimal(cfg.snr12)
         exact = float((1 + x).ln() / (2 * decimal.Decimal(2).ln()))
     np.testing.assert_allclose(rows[:-1, 1:], exact, rtol=1e-12, atol=0.0)
+    # the time-switching column once read 1.4428e-12 on every row, above
+    # rsum_nf and not 0 at b_max: its grid took 1 + x without log1p
+    assert run_cli(["sumcap", "--snr", "1e-12,1e-12,1e300,1e30",
+                    "--points", "3", "--timeshare", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows[:, 3].tolist() == rows[:, 2].tolist()
+    assert rows[-1, 3] == 0.0
     assert run_cli(["sumcap", "--snr", "1e300,1e300,1e300,1e300",
                     "--points", "5", "--out", str(out)]) == 0
     _, rows = read_csv(out)

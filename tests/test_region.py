@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _oracles import (brute_force_sum_capacity, golden_section_replay,
-                      grid_starts, pareto_corners, rho_min_closed_form,
-                      scan_rho_star)
+from _oracles import (brute_force_sum_capacity, brute_force_time_sharing,
+                      golden_section_replay, grid_starts, pareto_corners,
+                      rho_min_closed_form, scan_rho_star)
 from gmac_seit import channel, region
 
 SYM10 = channel.from_snr(10, 10, 10, 10)
@@ -685,20 +685,54 @@ def test_sum_capacity_against_brute_force_asymmetric():
 
 
 def test_time_sharing_matches_nf_capacity_when_unconstrained():
-    assert region.time_sharing_sum_rate(SYM10, 15.0, grid_n=21) == \
-        pytest.approx(region.sum_capacity_nf(SYM10, 15.0), abs=1e-12)
+    assert region.time_sharing_sum_rate(SYM10, 15.0) == \
+        region.sum_capacity_nf(SYM10, 15.0)
 
 
 def test_time_sharing_strictly_below_nf_capacity():
-    val = region.time_sharing_sum_rate(SYM10, 31.0, grid_n=101)
+    val = region.time_sharing_sum_rate(SYM10, 31.0)
     assert val < region.sum_capacity_nf(SYM10, 31.0) - 0.01
+    # half the block on energy: lam* = (41 - 31) / 20
+    assert val == pytest.approx(0.25 * math.log2(21), rel=1e-12)
 
 
 def test_time_sharing_infeasible():
     with pytest.raises(region.InfeasibleEnergyRateError):
         region.time_sharing_sum_rate(SYM10, 42.0)
-    with pytest.raises(ValueError, match="grid_n"):
-        region.time_sharing_sum_rate(SYM10, 15.0, grid_n=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        region.time_sharing_sum_rate(SYM10, -1.0)
+
+
+@pytest.mark.parametrize("snr", [(10, 3, 2, 5), (10, 10, 10, 10),
+                                 (3, 20, 8, 1), (10, 3, 0, 5)])
+def test_time_sharing_against_brute_force(snr):
+    # the oracle's best grid share lies below lam* by less than one lam
+    # step, so it is short of the closed form by at most the full-power
+    # sum rate over that step
+    cfg = channel.from_snr(*snr)
+    s = (cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22)
+    n_lam = 401
+    full = 0.5 * math.log2(1.0 + s[0] + s[1])
+    for b in np.linspace(0.0, channel.max_energy_rate(cfg), 21):
+        closed = region.time_sharing_sum_rate(cfg, b)
+        brute = brute_force_time_sharing(s, b, n_lam=n_lam)
+        assert brute <= closed + 1e-12
+        assert closed - brute <= full / (n_lam - 1) + 1e-12
+
+
+@given(st.tuples(*[snr_or_zero] * 4))
+@settings(max_examples=200, deadline=None)
+def test_time_sharing_never_beats_power_splitting(snr):
+    # on every b of a sumcap table the time-switching column is at most
+    # rsum_nf, and bit for bit equal to it where b needs no energy phase
+    cfg = channel.from_snr(*snr)
+    for b in np.linspace(0.0, channel.max_energy_rate(cfg), 41):
+        b = float(b)
+        ts = region.time_sharing_sum_rate(cfg, b)
+        nf = region.sum_capacity_nf(cfg, b)
+        assert 0.0 <= ts <= nf
+        if b <= 1.0 + cfg.snr21 + cfg.snr22:
+            assert ts == nf
 
 
 # --- feedback energy gain ------------------------------------------------------
