@@ -404,6 +404,13 @@ def test_exit_codes(tmp_path, capsys):
         assert run_cli(["sumcap", "--snr", "10,10,10,10", "--points", "3",
                         "--bmax", bmax,
                         "--out", str(tmp_path / "sumcap.csv")]) == 2, bmax
+    # a --bmax past b_max (41) is an infeasible energy rate, whether or not
+    # the time-sharing column is asked for, and leaves no file
+    for extra in ([], ["--timeshare"]):
+        assert run_cli(["sumcap", "--snr", "10,10,10,10", "--bmax", "50",
+                        "--points", "3", "--out",
+                        str(tmp_path / "past.csv")] + extra) == 3, extra
+        assert not (tmp_path / "past.csv").exists()
     # a report that overflowed to nan is refused before its file is opened
     # (an explicit epsilon, as the default one overflows at the second SNRs)
     for snr, rate in (("1e308,1e308,1,1", "0,0"),
@@ -710,13 +717,19 @@ def readme_commands():
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # region, sumcap and ratio never draw; loading numpy.random would add
-    # its import time to every one of their runs
+    # its import time to every one of their runs.  Nor is a region grid or
+    # cover built at import or by a RateTriplet: that work belongs to the
+    # first contains call
     src = str(Path(cli.__file__).parents[1])
     probe = ("import sys, gmac_seit.cli; "
-             "print('numpy.random' in sys.modules)")
+             "from gmac_seit import region; "
+             "region.RateTriplet(1.0, 1.0, 1.0); "
+             "print('numpy.random' in sys.modules, "
+             "region._grid_boxes.cache_info().currsize, "
+             "region._grid_cover.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "0", "0"]
 
 
 def test_readme_commands_parse():

@@ -636,6 +636,73 @@ def test_grid_cover_is_small_and_lean():
     assert peak <= 1.0e6
 
 
+def tied_b(x, r1, r2):
+    """A b at which contains' b threshold, b - 1e-9 max(1, r1, r2, b),
+    rounds to x exactly, found by stepping b an ulp at a time; else x."""
+    b = x + 1e-9 * max(1.0, r1, r2, x)
+    for _ in range(16):
+        thr = b - 1e-9 * max(1.0, r1, r2, b)
+        if thr == x:
+            return b
+        b = math.nextafter(b, -math.inf if thr > x else math.inf)
+    return x
+
+
+class _Miss(Exception):
+    """Raised by a stand-in for _grid_boxes: contains missed the cover."""
+
+
+@given(st.tuples(*[snr_or_zero] * 4), st.sampled_from([2, 3, 9, 17]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example((10.0, 10.0, 10.0, 10.0), 17, True, 0)  # hits past the block
+@example((10.0, 10.0, 0.0, 0.0), 9, True, 0)  # every b is equal
+@settings(max_examples=60, deadline=None)
+def test_cover_hit_test_matches_flat_compare(snr, grid, fb, seed):
+    # contains' grid test, a searchsorted rank on the b-sorted cover and
+    # the rate comparisons from there, a 64-column block first, gives the
+    # verdict of the four comparisons over every grid point
+    cfg = channel.from_snr(*snr)
+    cover = region._grid_cover(cfg, fb, grid)
+    assert (np.diff(cover[3]) >= 0).all()
+    rng = np.random.default_rng(seed)
+    r1c, r2c, rsc, bc = cover
+    # rates that each column covers, the sum bound included, at b = 0: the
+    # first covering column may then lie past the first block
+    fit1 = np.minimum(r1c, rsc)
+    fit2 = np.maximum(0.0, np.minimum(r2c, rsc - fit1))
+    ts = list(zip(fit1, fit2, np.zeros_like(bc)))
+    pick = rng.permutation(cover.shape[1])[:60]
+    for r1, r2, rs, b in cover.T[pick]:
+        ts.append((r1, r2, b))  # the column taken exactly
+        r1 = min(r1, rs)
+        r2 = max(0.0, min(r2, rs - r1))
+        eps = 1e-9 * max(1.0, r1, r2, b)
+        d = rng.choice([-2.0, -1.0, 1.0, 2.0], 3) * eps
+        ts += [
+            (r1, r2, b),  # its covered rates, as they stand and moved
+            tuple(max(0.0, v) for v in (r1 + d[0], r2 + d[1], b + d[2])),
+            (r1, r2, tied_b(b, r1, r2))]  # the threshold on b itself
+    top = 1.1 * cover.max(axis=1)
+    ts += zip(*(rng.uniform(0.0, top[k], 30) for k in (0, 1, 3)))
+    r1, r2, b = np.array(ts).T[:, :, None]
+    eps = 1e-9 * np.maximum(np.maximum(1.0, r1), np.maximum(r2, b))
+    r1b, r2b, rsb, bb = (a.ravel() for a in np.broadcast_arrays(
+        *region._grid_boxes(cfg, fb, grid)[2:]))
+    want = ((r1b >= r1 - eps) & (r2b >= r2 - eps) & (rsb >= r1 + r2 - eps)
+            & (bb >= b - eps)).any(axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        def miss(*args):
+            raise _Miss
+        mp.setattr(region, "_grid_boxes", miss)
+        for t, hit in zip(ts, want):
+            try:
+                got = region.contains(cfg, region.RateTriplet(*t),
+                                      feedback=fb, grid_n=grid)
+            except _Miss:
+                got = False
+            assert got == hit, (t, hit)
+
+
 # --- capacities in b ----------------------------------------------------------
 
 def test_sum_capacity_fb_values():
@@ -645,6 +712,9 @@ def test_sum_capacity_fb_values():
     assert region.sum_capacity_fb(SYM10, 41.0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match="nonnegative"):
         region.sum_capacity_fb(SYM10, -1.0)
+    # past b_max (41) beyond the 1e-9 tolerance no input delivers b
+    with pytest.raises(region.InfeasibleEnergyRateError):
+        region.sum_capacity_fb(SYM10, 42.0)
 
 
 def test_sum_capacity_nf_values():
@@ -655,6 +725,9 @@ def test_sum_capacity_nf_values():
     assert region.sum_capacity_nf(SYM10, 41.0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match="nonnegative"):
         region.sum_capacity_nf(SYM10, -1.0)
+    # past b_max (41) beyond the 1e-9 tolerance no input delivers b
+    with pytest.raises(region.InfeasibleEnergyRateError):
+        region.sum_capacity_nf(SYM10, 42.0)
 
 
 def test_sum_capacity_continuity_at_edges():
