@@ -4,7 +4,7 @@ Everything here is a pure function of a ChannelConfig.  Rate bounds for a
 fixed power split (beta1, beta2) and input correlation rho form a box,
 written once as _boxes over arrays or floats; the capacity region is the
 union of those boxes.  The module also carries the sum-rate-optimal
-correlation rho*, the energy-rate correlation bounds xi and rho_min, the
+correlation rho*, the energy-rate correlation bound xi, the
 piecewise sum-capacity formulas with and without feedback, the
 time-switching baseline in closed form (an information phase of
 independent full-power inputs, an energy phase of the coherent full-power
@@ -145,8 +145,10 @@ def solve_rho_star(cfg: ChannelConfig, beta1: float, beta2: float) -> float:
 
 
 def _check_feasible_b(cfg: ChannelConfig, b: float) -> float:
-    """b_max, after refusing a b past it by more than a 1e-9 relative
-    tolerance."""
+    """b_max, after refusing a NaN b, and a b past b_max by more than a
+    1e-9 relative tolerance."""
+    if math.isnan(b):
+        raise ValueError("energy rate must be a number")
     bmax = max_energy_rate(cfg)
     if b > bmax + 1e-9 * max(1.0, bmax):
         raise InfeasibleEnergyRateError(
@@ -156,28 +158,18 @@ def _check_feasible_b(cfg: ChannelConfig, b: float) -> float:
 
 def xi(cfg: ChannelConfig, b: float) -> float:
     """Minimum input correlation needed to sustain energy rate b at full
-    power: rho_min at beta1 = beta2 = 1."""
-    x = rho_min(cfg, 1.0, 1.0, b)
-    if x > 0.0 and min(cfg.snr21, cfg.snr22) == 0.0:
-        raise InfeasibleEnergyRateError(
-            f"energy rate {b} infeasible with SNR21*SNR22 = 0")
-    return x
-
-
-def rho_min(cfg: ChannelConfig, beta1: float, beta2: float, b: float) -> float:
-    """Smallest IC correlation delivering b at power split (beta1, beta2)."""
-    if beta1 <= 0.0 or beta2 <= 0.0:
-        raise ValueError("rho_min requires beta1 > 0 and beta2 > 0")
+    power: b's excess over independent inputs' energy, per unit of the
+    coherent part's, clipped to [0, 1]."""
     _check_feasible_b(cfg, b)
     s21, s22 = cfg.snr21, cfg.snr22
-    nic = 2.0 * _sqrt_product((1.0 - beta1) * s21 * (1.0 - beta2), s22)
-    excess = b - (1.0 + s21 + s22 + nic)
+    excess = b - (1.0 + s21 + s22)
     if excess <= 0.0:
         return 0.0
-    denom = 2.0 * _sqrt_product(beta1 * s21 * beta2, s22)
-    if denom == 0.0:
-        return 1.0
-    return min(1.0, excess / denom)
+    coherent = 2.0 * _sqrt_product(s21, s22)
+    if coherent == 0.0:
+        raise InfeasibleEnergyRateError(
+            f"energy rate {b} infeasible with SNR21*SNR22 = 0")
+    return min(1.0, excess / coherent)
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +731,7 @@ _PARETO_LIVE = 128  # most rows a block compares pairwise
 _PARETO_UPPER = np.triu(np.ones((_PARETO_LIVE, _PARETO_LIVE), bool), 1)
 
 
-def _pareto_filter(xs: np.ndarray, ys: np.ndarray,
-                   stair: list | None = None) -> np.ndarray:
+def _pareto_filter(xs: np.ndarray, ys: np.ndarray, stair: list) -> np.ndarray:
     """Positions of the rows maximal in (r1, r2, b), given the r1 (xs) and
     r2 (ys) of rows already ordered by (-b, -r2, -r1), ties in row index.
 
@@ -754,7 +745,6 @@ def _pareto_filter(xs: np.ndarray, ys: np.ndarray,
     The rows may come in pieces, one call each: stair, a list that starts
     empty, then carries the staircase of every earlier piece's kept rows
     from call to call, and each call returns positions within its piece.
-    Without stair the staircase starts empty.
     """
     keep = np.zeros(len(xs), dtype=bool)
     # maxima of the kept (r1, r2): fx ascending, fy strictly decreasing,
@@ -788,8 +778,7 @@ def _pareto_filter(xs: np.ndarray, ys: np.ndarray,
         step[1:] = my[1:] > np.maximum.accumulate(my)[:-1]
         fx = mx[step][::-1]
         fy = np.append(my[step][::-1], -np.inf)
-    if stair is not None:
-        stair[:] = fx, fy
+    stair[:] = fx, fy
     return np.flatnonzero(keep)
 
 

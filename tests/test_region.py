@@ -20,6 +20,7 @@ ASYM = channel.from_snr(10, 3, 5, 7)
 pos_snr = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 pos_unit = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
+snr_or_zero = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e) | st.just(0.0)
 
 
 def boundary_triplets(cfg, feedback, resolution):
@@ -81,10 +82,11 @@ def test_rho_star_symmetry():
         pytest.approx(region.solve_rho_star(SYM10, 0.7, 0.3), abs=1e-11)
 
 
-# --- xi / rho_min ------------------------------------------------------------
+# --- xi ----------------------------------------------------------------------
 
 def test_xi_values():
     assert region.xi(SYM10, 15.0) == 0.0
+    assert region.xi(SYM10, 21.0) == 0.0
     assert region.xi(SYM10, 31.0) == pytest.approx(0.5)
     assert region.xi(SYM10, channel.max_energy_rate(SYM10)) == \
         pytest.approx(1.0)
@@ -103,27 +105,52 @@ def test_xi_infeasible():
         region.xi(channel.from_snr(10, 10, 0, 5), 6 + 1e-9)
 
 
-@given(pos_unit, pos_unit, st.floats(min_value=0.0, max_value=41.0))
-@settings(max_examples=200)
-def test_rho_min_matches_xi_at_full_split(b1, b2, b):
-    want = rho_min_closed_form(SYM10, 1.0, 1.0, b)
-    assert region.xi(SYM10, b) == pytest.approx(want, rel=1e-12, abs=1e-15)
-    assert region.rho_min(SYM10, 1.0, 1.0, b) == pytest.approx(
-        want, rel=1e-12, abs=1e-15)
-    want = rho_min_closed_form(SYM10, b1, b2, b)
-    assert region.rho_min(SYM10, b1, b2, b) == pytest.approx(
-        want, rel=1e-12, abs=1e-15)
-    assert 0.0 <= region.rho_min(SYM10, b1, b2, b) <= 1.0
+@st.composite
+def energy_rates(draw):
+    """(cfg, b): an SNR quadruple from snr_or_zero and b in
+    [0, b_max (1 + 1e-9)], the feasibility tolerance included."""
+    cfg = channel.from_snr(*draw(st.tuples(*[snr_or_zero] * 4)))
+    bmax = channel.max_energy_rate(cfg)
+    return cfg, draw(st.floats(0.0, bmax * (1.0 + 1e-9)))
 
 
-def test_rho_min_hand_values():
-    assert region.rho_min(SYM10, 0.5, 0.5, 30.0) == 0.0
-    assert region.rho_min(SYM10, 1.0, 1.0, 21.0) == 0.0
-    # at SNR21 = 0 no correlation adds energy: rho_min saturates at 1
-    assert region.rho_min(channel.from_snr(10, 10, 0, 5), 0.5, 0.5,
-                          6 + 1e-9) == 1.0
-    with pytest.raises(ValueError, match="beta1 > 0"):
-        region.rho_min(SYM10, 0.0, 0.5, 21.0)
+def independent_energy(cfg):
+    """1 + SNR21 + SNR22, the energy rate of independent full-power inputs."""
+    return 1.0 + cfg.snr21 + cfg.snr22
+
+
+DEGENERATE = channel.from_snr(10, 10, 0, 5)  # SNR21*SNR22 = 0
+
+
+@given(energy_rates())
+@example((SYM10, independent_energy(SYM10)))
+@example((SYM10, channel.max_energy_rate(SYM10) * (1.0 + 5e-10)))
+@example((DEGENERATE, independent_energy(DEGENERATE)))
+@example((DEGENERATE, channel.max_energy_rate(DEGENERATE) * (1.0 + 5e-10)))
+@settings(max_examples=300, deadline=None)
+def test_xi_matches_closed_form(case):
+    # past independent inputs' energy, b needs correlation, which adds
+    # energy only where SNR21*SNR22 > 0
+    cfg, b = case
+    if min(cfg.snr21, cfg.snr22) == 0.0 and b > independent_energy(cfg):
+        with pytest.raises(region.InfeasibleEnergyRateError, match="= 0"):
+            region.xi(cfg, b)
+        return
+    got = region.xi(cfg, b)
+    assert 0.0 <= got <= 1.0
+    assert got == pytest.approx(rho_min_closed_form(cfg, 1.0, 1.0, b),
+                                rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("fun", [region.sum_capacity_fb,
+                                 region.sum_capacity_nf,
+                                 region.time_sharing_sum_rate, region.xi])
+def test_energy_rate_nan_refused(fun):
+    # NaN fails every comparison, so it must be refused before them, as a
+    # usage error rather than an infeasible energy rate
+    with pytest.raises(ValueError, match="must be a number") as exc:
+        fun(SYM10, math.nan)
+    assert not isinstance(exc.value, region.InfeasibleEnergyRateError)
 
 
 # --- region boxes ------------------------------------------------------------
@@ -355,7 +382,6 @@ def test_refine_coord_replays_step_by_step_on_box_slack(snr, fb, scale, pick,
     assert_replays_step_by_step(slack_score(cfg, t), pts, c, 1.0 / (grid - 1))
 
 
-snr_or_zero = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e) | st.just(0.0)
 rates = st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 8.0),
                   st.floats(0.0, 2e3)).map(lambda r: region.RateTriplet(*r))
 
@@ -1031,7 +1057,7 @@ def _pareto_cases():
 @pytest.mark.parametrize("xs,ys,cuts", _pareto_cases())
 def test_pareto_filter_matches_brute_force(xs, ys, cuts):
     want = pareto_keep_brute_force(xs, ys).tolist()
-    assert region._pareto_filter(xs, ys).tolist() == want
+    assert region._pareto_filter(xs, ys, []).tolist() == want
     # the same rows in pieces, the staircase carried from piece to piece
     stair = []
     got = [lo + region._pareto_filter(xs[lo:hi], ys[lo:hi], stair)
