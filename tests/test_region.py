@@ -86,7 +86,6 @@ def test_rho_star_symmetry():
 
 def test_xi_values():
     assert region.xi(SYM10, 15.0) == 0.0
-    assert region.xi(SYM10, 21.0) == 0.0
     assert region.xi(SYM10, 31.0) == pytest.approx(0.5)
     assert region.xi(SYM10, channel.max_energy_rate(SYM10)) == \
         pytest.approx(1.0)
@@ -140,6 +139,24 @@ def test_xi_matches_closed_form(case):
     assert 0.0 <= got <= 1.0
     assert got == pytest.approx(rho_min_closed_form(cfg, 1.0, 1.0, b),
                                 rel=1e-12, abs=1e-15)
+
+
+def test_rho_min_hand_values():
+    # rho_min at the full split beta1 = beta2 = 1 is xi; the beta-general
+    # oracle that test_xi_matches_closed_form trusts is pinned here by hand
+    assert region.xi(SYM10, 21.0) == 0.0
+    assert rho_min_closed_form(SYM10, 1.0, 1.0, 21.0) == 0.0
+    # 1 + 4 + 9 = 14 from independent inputs, 2 sqrt(4 * 9) = 12 coherent
+    cfg = channel.from_snr(10, 3, 4, 9)
+    for b, want in [(17.0, 0.25), (20.0, 0.5), (26.0, 1.0)]:
+        assert region.xi(cfg, b) == pytest.approx(want, rel=1e-15)
+        assert rho_min_closed_form(cfg, 1.0, 1.0, b) == \
+            pytest.approx(want, rel=1e-15)
+    # at half power the NIC part's 2 sqrt(5 * 5) = 10 already covers b = 30
+    assert rho_min_closed_form(SYM10, 0.5, 0.5, 30.0) == 0.0
+    # at SNR21 = 0 no correlation adds energy: the oracle saturates at 1
+    # where xi raises (test_xi_infeasible)
+    assert rho_min_closed_form(DEGENERATE, 0.5, 0.5, 6 + 1e-9) == 1.0
 
 
 @pytest.mark.parametrize("fun", [region.sum_capacity_fb,
