@@ -20,12 +20,14 @@ cached rho-major, and so is a cover of its maxima, built on the first
 contains call per grid: grid points, a tenth or less of them at grid 48,
 such that each grid point's four bounds are at most those of one of
 them.  contains tests the cover, which a triplet hits iff it hits the
-grid; on a miss it refines from the best point of every slice of the
-full grid, one coordinate pass at a time.  Before each pass it drops the
-starts whose slack cannot reach t anywhere in the box they can still
-reach, by a bound monotone in each coordinate, so no verdict moves; a
-pass scores its probes through a line kernel that evaluates the terms
-free of its coordinate once.
+grid: a bisect finds the triplet's b rank in the cover's b row, a Python
+loop tests the first columns from it as floats, and numpy the rest only
+if none of them hits.  On a miss it refines from the best point of every
+slice of the full grid, one coordinate pass at a time.  Before each pass
+it drops the starts whose slack cannot reach t anywhere in the box they
+can still reach, by a bound monotone in each coordinate, so no verdict
+moves; a pass scores its probes through a line kernel that evaluates the
+terms free of its coordinate once.
 
 The boundary is a 3-D maxima sweep over the two sum-rate corners of each
 grid point's box, one row per point where the two are equal (a slack sum
@@ -44,6 +46,7 @@ distinct value of a column once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -234,7 +237,8 @@ def _beaten(q, p) -> np.ndarray:
 def _grid_cover(cfg: ChannelConfig, feedback: bool, grid_n: int):
     """contains' grid test set, cached: the (4, M) bounds (r1, r2, rsum, b)
     of grid points such that each grid point's four bounds are at most
-    those of one of them.
+    those of one of them, and the four rows as memoryviews, which index
+    to Python floats without a copy of the array.
 
     A point leaves only for a witness whose four bounds are all at least
     its own, one of them greater, compared as floats; that order is
@@ -248,7 +252,7 @@ def _grid_cover(cfg: ChannelConfig, feedback: bool, grid_n: int):
 
     The columns are in ascending b, ties in grid order, sorted once here:
     the points that reach a b threshold are then the columns from one
-    searchsorted rank on, which is how contains tests them.
+    bisect_left rank on, which is how contains tests them.
     """
     g, rho, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback, grid_n)
     n, n2 = grid_n, grid_n * grid_n
@@ -284,7 +288,7 @@ def _grid_cover(cfg: ChannelConfig, feedback: bool, grid_n: int):
     cover = np.empty((4, len(keep)))
     for row, v in zip(cover, bounds(keep)):
         row[:] = v
-    return cover
+    return cover, tuple(memoryview(row) for row in cover)
 
 
 _GOLDEN_DEPTH = 4  # golden-section steps that one score call resolves
@@ -494,9 +498,9 @@ _SLACK_BLOCK = 8192
 # bound's corner values round apart by a few ulps; thousands of ulps at
 # either scale, yet a thousandth of contains' 1e-9 relative slack
 _ROUNDING = 1e-12
-# cover columns that contains tests first from its b threshold: at the
-# benchmark's grid the first column covering a boundary triplet lies this
-# close to it, and a block this small costs little more than one call
+# cover columns that contains tests first from its b threshold, one at a
+# time in Python floats: at the benchmark's grid the first column covering
+# a boundary triplet lies this close to it, most often at the threshold
 _COVER_BLOCK = 64
 
 
@@ -515,11 +519,15 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
     per grid and cached: each grid point's four bounds are at most those
     of one of them, and each is a grid point, so the same comparisons hit
     the cover iff they hit the grid.  The cover's columns are in ascending
-    b, so the b comparison is one searchsorted rank: the columns from it
-    on are those with b >= t.b - eps.  The r1, r2 and rsum comparisons run
-    on the first _COVER_BLOCK of them and, only if none hits, on the rest.
-    A hit then costs about 6 us at grid 48 (SYM10, 2-core x86-64 host),
-    where comparing t with all 7,788 columns took 12 us.
+    b, so the b comparison is one bisect_left rank in the b row, the
+    rank searchsorted(..., "left") gives: the columns from it on are those
+    with b >= t.b - eps.  A Python loop runs the r1, r2 and rsum
+    comparisons on the first _COVER_BLOCK of them, the same float
+    comparisons that numpy makes, and returns at the first hit; only if
+    none hits does numpy compare the rest.  So a hit makes no numpy call:
+    at grid 48 (SYM10, 2-core x86-64 host) it costs about 4 us after a
+    hit and 10 us after a miss, against 8 and 18 us with a searchsorted
+    rank and numpy comparisons on the first block.
 
     On a miss, the best grid point of every rho slice starts a coordinate
     refinement, which stops at the first pass that certifies t: no pass
@@ -538,13 +546,15 @@ def contains(cfg: ChannelConfig, t: RateTriplet, feedback: bool = True,
     """
     scale = max(1.0, t.r1, t.r2, t.b)
     eps = 1e-9 * scale
-    cover = _grid_cover(cfg, feedback, grid_n)
-    lo = int(cover[3].searchsorted(t.b - eps))
-    for cols in (slice(lo, lo + _COVER_BLOCK), slice(lo + _COVER_BLOCK, None)):
-        ok = (cover[0, cols] >= t.r1 - eps) & (cover[1, cols] >= t.r2 - eps)
-        ok &= cover[2, cols] >= t.r1 + t.r2 - eps
-        if np.count_nonzero(ok):
+    cover, (r1c, r2c, rsc, bc) = _grid_cover(cfg, feedback, grid_n)
+    lo = bisect_left(bc, t.b - eps)
+    a1, a2, a3 = t.r1 - eps, t.r2 - eps, t.r1 + t.r2 - eps
+    for i in range(lo, min(lo + _COVER_BLOCK, len(bc))):
+        if r1c[i] >= a1 and r2c[i] >= a2 and rsc[i] >= a3:
             return True
+    rest = cover[:, lo + _COVER_BLOCK:]
+    if np.count_nonzero((rest[0] >= a1) & (rest[1] >= a2) & (rest[2] >= a3)):
+        return True
     g, rho, r1b, r2b, rsb, bb = _grid_boxes(cfg, feedback, grid_n)
 
     # multi-start: the global slack argmax can sit in the wrong basin, so

@@ -107,10 +107,12 @@ def test_xi_infeasible():
 @st.composite
 def energy_rates(draw):
     """(cfg, b): an SNR quadruple from snr_or_zero and b in
-    [0, b_max (1 + 1e-9)], the feasibility tolerance included."""
+    [0, b_max + 1e-9 b_max], the feasibility tolerance included, rounded
+    as _check_feasible_b rounds it (b_max (1 + 1e-9) can round an ulp
+    past it)."""
     cfg = channel.from_snr(*draw(st.tuples(*[snr_or_zero] * 4)))
     bmax = channel.max_energy_rate(cfg)
-    return cfg, draw(st.floats(0.0, bmax * (1.0 + 1e-9)))
+    return cfg, draw(st.floats(0.0, bmax + 1e-9 * max(1.0, bmax)))
 
 
 def independent_energy(cfg):
@@ -652,7 +654,7 @@ def test_grid_cover_covers_the_grid(snr, grid, fb):
     # column, and every column is some grid point's bounds, bit for bit:
     # so a triplet hits the cover iff it hits the grid
     cfg = channel.from_snr(*snr)
-    cover = region._grid_cover(cfg, fb, grid)
+    cover = region._grid_cover(cfg, fb, grid)[0]
     bounds = np.stack(flat_grid(cfg, fb, grid)[3:])
     above = np.ones((cover.shape[1], bounds.shape[1]), bool)
     for c, b in zip(cover, bounds):
@@ -666,29 +668,90 @@ def test_grid_cover_covers_the_grid(snr, grid, fb):
 def test_grid_cover_is_small_and_lean():
     # at the benchmark's grid a tenth of the points cover the grid, and
     # building the cover of a cached grid stays inside the margin that the
-    # grid build leaves under a first contains call's peak
-    cover = region._grid_cover(SYM10, True, 48)
+    # grid build leaves under a first contains call's peak; the rows that
+    # contains reads as Python floats are the cover's own memory, so what
+    # the cache keeps is about the (4, M) array
+    cover, rows = region._grid_cover(SYM10, True, 48)
     assert cover.shape[1] <= 0.1 * 48 ** 3
     tracemalloc.start()
     try:
         again = region._grid_cover.__wrapped__(SYM10, True, 48)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert again.tobytes() == cover.tobytes()
+    assert again[0].tobytes() == cover.tobytes()
+    assert [row.tolist() for row in rows] == cover.tolist()
     assert peak <= 1.0e6
+    assert kept <= 2 * cover.nbytes
+
+
+def tie(x, thr, lo, hi):
+    """The least float w in (lo, hi] at which thr, nondecreasing with
+    thr(lo) < x <= thr(hi), is at least x, found by bisection: thr(w) == x
+    there if any w ties thr to x."""
+    while math.nextafter(lo, math.inf) < hi:
+        mid = min(max(lo + (hi - lo) / 2, math.nextafter(lo, math.inf)),
+                  math.nextafter(hi, -math.inf))
+        lo, hi = (mid, hi) if thr(mid) < x else (lo, mid)
+    return hi
 
 
 def tied_b(x, r1, r2):
-    """A b at which contains' b threshold, b - 1e-9 max(1, r1, r2, b),
-    rounds to x exactly, found by stepping b an ulp at a time; else x."""
-    b = x + 1e-9 * max(1.0, r1, r2, x)
-    for _ in range(16):
-        thr = b - 1e-9 * max(1.0, r1, r2, b)
-        if thr == x:
-            return b
-        b = math.nextafter(b, -math.inf if thr > x else math.inf)
-    return x
+    """The least b at which contains' b threshold, b - 1e-9 max(1, r1, r2,
+    b), is at least x: x itself where some b rounds it to x."""
+    return tie(x, lambda b: b - 1e-9 * max(1.0, r1, r2, b),
+               x, x + 3e-9 * max(1.0, r1, r2, x))
+
+
+def tied_sum(x, r1, b):
+    """The least r2 at which contains' rsum threshold, r1 + r2 - 1e-9
+    max(1, r1, r2, b), is at least x >= r1: x itself where some r2 rounds
+    it to x."""
+    return tie(x, lambda r2: r1 + r2 - 1e-9 * max(1.0, r1, r2, b),
+               x - r1, x - r1 + 3e-9 * max(1.0, r1, x, b))
+
+
+def covering(cover, t):
+    """The b rank of t in the b-sorted cover and the columns from it whose
+    rates cover t, by contains' comparisons."""
+    r1c, r2c, rsc, bc = cover
+    eps = 1e-9 * max(1.0, *t)
+    lo = int(np.searchsorted(bc, t[2] - eps))
+    ok = ((r1c[lo:] >= t[0] - eps) & (r2c[lo:] >= t[1] - eps)
+          & (rsc[lo:] >= t[0] + t[1] - eps))
+    return lo, lo + np.flatnonzero(ok)
+
+
+def block_edge_triplets(cover):
+    """Triplets whose first covering column lies _COVER_BLOCK - 1 and
+    _COVER_BLOCK columns past their b rank: the last column of contains'
+    first block and the first one after it.  Found by scanning the rates
+    each column covers against every b rank, preferring a triplet that no
+    later column covers."""
+    r1c, r2c, rsc, bc = cover
+    m = len(bc)
+    fit1 = np.minimum(r1c, rsc)
+    fit2 = np.maximum(0.0, np.minimum(r2c, rsc - fit1))
+    eps = 1e-9 * np.maximum(np.maximum(1.0, fit1), np.maximum(fit2, bc[-1]))
+    covers = ((r1c >= (fit1 - eps)[:, None]) & (r2c >= (fit2 - eps)[:, None])
+              & (rsc >= (fit1 + fit2 - eps)[:, None]))
+    col = np.arange(m)
+    nxt = np.minimum.accumulate(np.where(covers, col, m)[:, ::-1],
+                                axis=1)[:, ::-1]
+    ranks = np.flatnonzero(np.r_[True, bc[1:] > bc[:-1]])  # bisect_left's
+    found = []
+    for off in (region._COVER_BLOCK - 1, region._COVER_BLOCK):
+        best = None  # (columns covering t from its rank, t)
+        for j, k in zip(*np.nonzero((nxt[:, ranks] == ranks + off)
+                                    & (ranks + off < m))):
+            t = (fit1[j], fit2[j], tied_b(bc[ranks[k]], fit1[j], fit2[j]))
+            lo, cols = covering(cover, t)
+            if (cols.size and cols[0] == lo + off
+                    and (best is None or cols.size < best[0])):
+                best = cols.size, t
+        if best:
+            found.append(best[1])
+    return found
 
 
 class _Miss(Exception):
@@ -701,11 +764,11 @@ class _Miss(Exception):
 @example((10.0, 10.0, 0.0, 0.0), 9, True, 0)  # every b is equal
 @settings(max_examples=60, deadline=None)
 def test_cover_hit_test_matches_flat_compare(snr, grid, fb, seed):
-    # contains' grid test, a searchsorted rank on the b-sorted cover and
+    # contains' grid test, a bisect_left rank on the b-sorted cover and
     # the rate comparisons from there, a 64-column block first, gives the
     # verdict of the four comparisons over every grid point
     cfg = channel.from_snr(*snr)
-    cover = region._grid_cover(cfg, fb, grid)
+    cover = region._grid_cover(cfg, fb, grid)[0]
     assert (np.diff(cover[3]) >= 0).all()
     rng = np.random.default_rng(seed)
     r1c, r2c, rsc, bc = cover
@@ -724,9 +787,23 @@ def test_cover_hit_test_matches_flat_compare(snr, grid, fb, seed):
         ts += [
             (r1, r2, b),  # its covered rates, as they stand and moved
             tuple(max(0.0, v) for v in (r1 + d[0], r2 + d[1], b + d[2])),
-            (r1, r2, tied_b(b, r1, r2))]  # the threshold on b itself
+            (r1, r2, tied_b(b, r1, r2)),  # the threshold on b itself
+            # on its rsum face, the sum threshold on its rsum
+            (r1, tied_sum(rs, r1, b), tied_b(b, r1, rs - r1))]
     top = 1.1 * cover.max(axis=1)
     ts += zip(*(rng.uniform(0.0, top[k], 30) for k in (0, 1, 3)))
+    # rates every column covers, at the largest b, and at the least b whose
+    # threshold passes it: no column is scanned there, so contains must
+    # reach the stand-in for the refinement
+    ts.append((0.0, 0.0, tied_b(bc[-1], 0.0, 0.0)))
+    ts.append((0.0, 0.0, tied_b(math.nextafter(bc[-1], math.inf), 0.0, 0.0)))
+    must_miss = len(ts) - 1
+    edges = block_edge_triplets(cover)
+    if cfg == SYM10 and grid == 17 and fb:  # one column decides each
+        spans = [covering(cover, t) for t in edges]
+        assert [list(cols - lo) for lo, cols in spans] == [
+            [region._COVER_BLOCK - 1], [region._COVER_BLOCK]]
+    ts += edges
     r1, r2, b = np.array(ts).T[:, :, None]
     eps = 1e-9 * np.maximum(np.maximum(1.0, r1), np.maximum(r2, b))
     r1b, r2b, rsb, bb = (a.ravel() for a in np.broadcast_arrays(
@@ -737,12 +814,14 @@ def test_cover_hit_test_matches_flat_compare(snr, grid, fb, seed):
         def miss(*args):
             raise _Miss
         mp.setattr(region, "_grid_boxes", miss)
-        for t, hit in zip(ts, want):
+        for i, (t, hit) in enumerate(zip(ts, want)):
             try:
                 got = region.contains(cfg, region.RateTriplet(*t),
                                       feedback=fb, grid_n=grid)
             except _Miss:
                 got = False
+            else:
+                assert i != must_miss
             assert got == hit, (t, hit)
 
 
