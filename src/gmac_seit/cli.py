@@ -145,12 +145,11 @@ def cmd_ratio(args) -> int:
     # --asym k scales transmitter 1's SNR to k times transmitter 2's
     grid = np.logspace(math.log10(args.snr_min), math.log10(args.snr_max),
                        args.points)
-    rows = []
-    for s in grid:
-        cfg = channel.from_snr(args.asym * s, s, args.asym * s, s)
-        ratio = region.feedback_gain_ratio(cfg)
-        limit = region.gain_ratio_limit_high_snr(cfg.snr21 / cfg.snr22)
-        rows.append((s, ratio, limit))
+    # the limit at the --asym asked for, not at the config's SNR21 / SNR22
+    # (from_snr refuses a negative --asym at the first row)
+    limit = region.gain_ratio_limit_high_snr(max(args.asym, 0.0))
+    rows = [(s, region.feedback_gain_ratio(channel.from_snr(
+        args.asym * s, s, args.asym * s, s)), limit) for s in grid]
     _write_table(args.out, args.format, ("snr", "ratio", "limit_high_snr"),
                  np.array(rows, dtype=np.float64).reshape(-1, 3))
     return EXIT_OK

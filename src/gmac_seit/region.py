@@ -65,8 +65,7 @@ class InfeasibleEnergyRateError(ValueError):
 
 
 class DegenerateSnrError(ValueError):
-    """Operation undefined when an information SNR is zero, or when the
-    product of the two underflows to zero."""
+    """Operation undefined when an information SNR is zero."""
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +608,8 @@ def _no_rate_left(cfg: ChannelConfig, b: float) -> bool:
 
 
 # below this x, 1 + x keeps only the bits of x above 2^-52, a relative
-# error of up to 2^-52 / x: the sum capacities take log1p(x), and gamma a
-# form of x that does not cancel; above it the closed forms keep the bits
-# that the golden tables pin (the default ratio grid starts at x = 2e-6)
+# error of up to 2^-52 / x: the sum capacities take log1p(x); above it
+# 0.5 * log2(1 + x) keeps the bits that the golden tables pin
 _SMALL_X = 2.0 ** -20
 
 
@@ -682,11 +680,33 @@ def time_sharing_sum_rate(cfg: ChannelConfig, b: float) -> float:
     if b > 1.0 + s21 + s22:  # so d > 0, as b < b_max
         lam = min(1.0, (max_energy_rate(cfg) - b)
                   / (2.0 * _sqrt_product(s21, s22)))
-    return lam * _half_log2(1.0 + s11 + s12, s11 + s12)
+    # time switching runs inside the no-feedback region, which the rounding
+    # of the two closed forms may not show just above 1 + SNR21 + SNR22
+    return min(lam * _half_log2(1.0 + s11 + s12, s11 + s12),
+               sum_capacity_nf(cfg, b))
 
 
 # ---------------------------------------------------------------------------
 # feedback energy-gain analytics
+
+
+def _gain_terms(cfg: ChannelConfig) -> tuple[float, float]:
+    """(gamma, nic): gamma, the positive root of (1 + g SNR11)(1 + g SNR12)
+    = 1 + SNR11 + SNR12, is the IC share of each power budget, and nic =
+    2 sqrt((1-gamma) SNR21 SNR22) the energy the rest adds coherently.
+
+    With x = 4 / (1/SNR11 + 1/SNR12), gamma = 2 / (1 + sqrt(1 + x)) and
+    1 - gamma = x / (1 + sqrt(1 + x))^2 do not cancel; x overflows only
+    where both SNRs exceed 4e307 (1 - gamma is then its limit 1), and it
+    is 0, so gamma = 1, where one is subnormal.
+    """
+    s11, s12 = cfg.snr11, cfg.snr12
+    if s11 <= 0.0 or s12 <= 0.0:
+        raise DegenerateSnrError("requires SNR11 > 0 and SNR12 > 0")
+    x = 4.0 / (1.0 / s11 + 1.0 / s12)
+    root = 1.0 + math.sqrt(1.0 + x)
+    share = x / root / root if x < math.inf else 1.0
+    return 2.0 / root, 2.0 * _sqrt_product(share * cfg.snr21, cfg.snr22)
 
 
 def b_fb_at_nf_sum_capacity(cfg: ChannelConfig) -> tuple[float, float]:
@@ -697,34 +717,13 @@ def b_fb_at_nf_sum_capacity(cfg: ChannelConfig) -> tuple[float, float]:
     component; b_fb follows from putting the remaining 1-gamma on the
     coherent NIC component.
     """
-    s11, s12, s21, s22 = cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22
-    if s11 <= 0.0 or s12 <= 0.0:
-        raise DegenerateSnrError("requires SNR11 > 0 and SNR12 > 0")
-    den = 2.0 * s11 * s12
-    if den == 0.0:
-        raise DegenerateSnrError(
-            f"2*SNR11*SNR12 underflows to 0 at SNR11 = {s11}, SNR12 = {s12}")
-    # x = 4 SNR11 SNR12 / (SNR11 + SNR12), as 4 / (1/S11 + 1/S12) where
-    # the product overflows
-    num = 4.0 * s11 * s12
-    over = math.isinf(num)
-    x = 4.0 / (1.0 / s11 + 1.0 / s12) if over else num / (s11 + s12)
-    if x < _SMALL_X or over:
-        # the same closed form, as (S11 + S12) / (2 S11 S12) = 2 / x:
-        # sqrt(1 + x) - 1 cancels at small x, to gamma > 1 at SNR 1e-12,
-        # and where the products overflow the closed form reads 0 * inf
-        gamma = 2.0 / (1.0 + math.sqrt(1.0 + x))
-    else:
-        gamma = ((s11 + s12) / den) * (math.sqrt(1.0 + x) - 1.0)
-    b_fb = 1.0 + s21 + s22 + 2.0 * _sqrt_product((1.0 - gamma) * s21, s22)
-    return gamma, b_fb
+    gamma, nic = _gain_terms(cfg)
+    return gamma, 1.0 + cfg.snr21 + cfg.snr22 + nic
 
 
 def feedback_gain_ratio(cfg: ChannelConfig) -> float:
     """Ratio b_fb / b_nf of guaranteeable energy rates at the NF sum capacity."""
-    gamma, _ = b_fb_at_nf_sum_capacity(cfg)
-    s21, s22 = cfg.snr21, cfg.snr22
-    return 1.0 + 2.0 * _sqrt_product((1.0 - gamma) * s21, s22) / (1.0 + s21 + s22)
+    return 1.0 + _gain_terms(cfg)[1] / (1.0 + cfg.snr21 + cfg.snr22)
 
 
 def gain_ratio_limit_high_snr(eta: float) -> float:

@@ -8,7 +8,8 @@ error-state recursion for the law of
 the empirical energy rate instead of the coefficient schedule, the
 energy-side closed forms with each geometric mean as sqrt(x) * sqrt(y)
 instead of sqrt(x * y) and rho* as a polished root of phi's quartic
-instead of bisection, an
+instead of bisection, the feedback energy gain in 60-digit decimal
+arithmetic from its defining quadratic instead of float closed forms, an
 all-pairs dominance check for the region boundary instead of a sweep,
 one pass over a flat grid with a per-slice first maximum for the
 membership grid test instead of blocks of rho slices, a step-by-step
@@ -19,6 +20,7 @@ them imports the library; tests/test_oracles_independent.py keeps it that
 way.
 """
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +93,33 @@ def sum_capacities(snr, b):
     else:
         nf = 0.5 * math.log2(1.0 + om * max(s11, s12))
     return fb, nf
+
+
+def feedback_gain_decimal(snr, digits=60):
+    """(gamma, b_fb, ratio) of the feedback energy gain in decimal
+    arithmetic at `digits` significant digits, from the exact values of
+    the float SNRs.
+
+    gamma is the positive root of p g^2 + q g - q = 0, p = SNR11 SNR12 and
+    q = SNR11 + SNR12 (the IC share at which (1 + g SNR11)(1 + g SNR12) =
+    1 + q), taken as 2q / (q + sqrt(q^2 + 4pq)); the same quadratic gives
+    1 - gamma = p gamma^2 / q.  Neither subtracts, so every digit holds at
+    any float SNRs; only square roots are taken.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        s11, s12, s21, s22 = (Decimal(float(s)) for s in snr)
+        p, q = s11 * s12, s11 + s12
+        gamma = 2 * q / (q + (q * q + 4 * p * q).sqrt())
+        nic = 2 * (p * gamma * gamma / q * s21 * s22).sqrt()
+        base = 1 + s21 + s22
+        return gamma, base + nic, 1 + nic / base
+
+
+def ulps(value, exact):
+    """Distance of the float value from the decimal exact, in ulps of the
+    float nearest to exact."""
+    return float(abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact))))
 
 
 def brute_force_sum_capacity(cfg, b_values, grid_n=201, feedback=True):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import sum_capacities
+from _oracles import feedback_gain_decimal, sum_capacities, ulps
 from gmac_seit import channel, cli, coder, mc, region
 
 
@@ -88,7 +88,10 @@ def test_region_csv_golden_digest(tmp_path, name):
 # that preceded cli._write_table; the rsum_timeshare digest was recorded
 # from sumcap --timeshare itself once its column became the closed-form
 # time-switching baseline, whose rows with b <= 1 + SNR21 + SNR22 equal
-# rsum_nf bit for bit and whose b_max row reads 0
+# rsum_nf bit for bit and whose b_max row reads 0; the ratio digests were
+# recorded once gamma and 1 - gamma took one form that does not cancel,
+# after a 60-digit decimal check put every ratio row within 1.5 ulp (6 of
+# the 13 rows moved, each closer to the exact value)
 TABLE_GOLDEN = {
     "region_json_sym10_fb_res16": (
         ["region", "--snr", "10,10,10,10", "--res", "16", "--format", "json"],
@@ -108,10 +111,10 @@ TABLE_GOLDEN = {
         "55f0a1a88b684423dd784eab0382c268a4a674e4196bf711b4319387305f9baa"),
     "ratio_csv": (
         ["ratio", "--points", "13", "--asym", "4"],
-        "72e745d2ebfaaba33aebb657bfbd612532f246e99667600dae176c14c38549ba"),
+        "9f5c166740b43287981eb259756f409c1a1dd2dc8ba0d9cb1ccbf31f2727fec6"),
     "ratio_json": (
         ["ratio", "--points", "13", "--asym", "4", "--format", "json"],
-        "fbb127e6313eb551ff1403f744ddfd497b4e4ec3b41ad149aafb2b27abcfec3e"),
+        "9593abf6022bfa3ab72a928413b1de6885982c318d6e8a9bb437cba62b2f5c67"),
 }
 
 
@@ -266,6 +269,38 @@ def test_sumcap_where_energy_products_overflow(tmp_path):
                     "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert rows[-1, 1:].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("asym", [None, "4", "3.7", "3.1"])
+def test_ratio_rows_against_decimal(tmp_path, asym):
+    # limit_high_snr is the limit at the --asym given, bit for bit, not at
+    # the config's SNR21 / SNR22, which from_snr's round trip moves (7 of
+    # the 13 rows at --asym 3.1 once read another limit); every ratio lies
+    # within 1.5 ulp of a 60-digit evaluation at the config
+    out = tmp_path / "ratio.csv"
+    argv = [] if asym is None else ["--points", "13", "--asym", asym]
+    assert run_cli(["ratio", *argv, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    k = 1.0 if asym is None else float(asym)
+    assert set(rows[:, 2]) == {region.gain_ratio_limit_high_snr(k)}
+    for s, ratio in rows[:, :2]:
+        cfg = channel.from_snr(k * s, s, k * s, s)
+        exact = feedback_gain_decimal(
+            (cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22))[2]
+        assert ulps(ratio, exact) <= 1.5, (s, ratio)
+
+
+def test_sumcap_timeshare_at_most_nf_seed67(tmp_path):
+    # row 24 of this table once read rsum_timeshare 1.1840038704229285
+    # above rsum_nf 1.1840038704229283, 1.03 ulp apart in exact arithmetic:
+    # time switching runs inside the no-feedback region
+    out = tmp_path / "sumcap.csv"
+    assert run_cli(["sumcap", "--snr", "1,3.1622776601683795,"
+                    "1.000000000000003,1", "--points", "41", "--timeshare",
+                    "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert (rows[:, 3] <= rows[:, 2]).all()
+    assert rows[24, 3] == rows[24, 2] == 1.1840038704229283
 
 
 def test_ratio_endpoints(tmp_path):

@@ -7,6 +7,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gmac_seit"
 
 # public names kept without an in-package caller, each for a stated reason
 ALLOWED = {
+    "b_fb_at_nf_sum_capacity": "the paper's (gamma, b_fb) closed form; "
+                               "the acceptance and gain tests read it, and "
+                               "feedback_gain_ratio shares its _gain_terms "
+                               "rather than cancel b_fb - b_nf",
     "error_bound": "decoding-error bound; test_mc and acceptance compare "
                    "Monte Carlo error rates against it until an exact "
                    "error probability replaces it",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _oracles import (brute_force_sum_capacity, brute_force_time_sharing,
-                      golden_section_replay, grid_starts, pareto_corners,
-                      rho_min_closed_form, scan_rho_star)
+                      feedback_gain_decimal, golden_section_replay,
+                      grid_starts, pareto_corners, rho_min_closed_form,
+                      scan_rho_star, ulps)
 from gmac_seit import channel, region
 
 SYM10 = channel.from_snr(10, 10, 10, 10)
@@ -916,6 +918,10 @@ def test_time_sharing_against_brute_force(snr):
 
 
 @given(st.tuples(*[snr_or_zero] * 4))
+# just above 1 + SNR21 + SNR22 the exact gap between the two rates is below
+# their rounding (18.7 and 1.03 ulp at b index 24 of these two)
+@example((0.01, 0.01, 1.0, 10**1e-12))
+@example((1, 10**0.5, 1.000000000000003, 1))
 @settings(max_examples=200, deadline=None)
 def test_time_sharing_never_beats_power_splitting(snr):
     # on every b of a sumcap table the time-switching column is at most
@@ -968,21 +974,66 @@ def test_degenerate_snr_rejected():
 @pytest.mark.parametrize("snr", [(1e-200, 1e-200, 1e-200, 1e-200),
                                  (1e-162, 1e-162, 1, 1),
                                  (1e-300, 1e-30, 2, 5)])
-def test_gain_ratio_names_snr_product_underflow(snr):
-    # 2 * SNR11 * SNR12 rounds to 0 although both are positive; the gamma
-    # closed form divides by it
+def test_gain_ratio_at_snr_product_underflow(snr):
+    # 2 * SNR11 * SNR12 rounds to 0 although both are positive (this once
+    # raised DegenerateSnrError): gamma is 1, each value within 3 ulp
     cfg = channel.from_snr(*snr)
-    for fn in (region.b_fb_at_nf_sum_capacity, region.feedback_gain_ratio):
-        with pytest.raises(region.DegenerateSnrError, match="underflows"):
-            fn(cfg)
+    gamma, b_fb = region.b_fb_at_nf_sum_capacity(cfg)
+    ratio = region.feedback_gain_ratio(cfg)
+    assert gamma == 1.0
+    exact = feedback_gain_decimal((cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22))
+    for value, want in zip((gamma, b_fb, ratio), exact):
+        assert ulps(value, want) <= 3.0
 
 
 def test_gain_ratio_just_above_underflow_returns():
-    # 2e-322 is subnormal, not 0: the closed form still returns a value
+    # at SNR 1e-161 the product 2 * SNR11 * SNR12 is subnormal
     cfg = channel.from_snr(1e-161, 1e-161, 1, 1)
     gamma, b_fb = region.b_fb_at_nf_sum_capacity(cfg)
     assert math.isfinite(gamma) and math.isfinite(b_fb)
     assert region.feedback_gain_ratio(cfg) >= 1.0
+
+
+log_snr = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+# SNR22 is drawn apart from SNR21 or, half the time, equal to it (the
+# receiver's two links alike): only where 2 sqrt(SNR21 SNR22) is near
+# 1 + SNR21 + SNR22 does the ratio carry the relative error of 1 - gamma
+@given(st.tuples(log_snr, log_snr, log_snr, log_snr | st.none()))
+@example((1e308, 1e308, 1.0, None))  # x = 4 / (1/SNR11 + 1/SNR12) overflows
+@example((1e-4, 1e-4, 1e3, None))  # 1 - gamma = 5e-5
+@example((5e-324, 1.0, 1.0, None))  # 1/SNR11 = inf, so x = 0
+@example((1e-300, 1.0, 1e300, None))  # SNR11 rounds to 0 in the config
+@settings(max_examples=500, deadline=None)
+def test_gain_analytics_match_decimal(snr):
+    # gamma, b_fb and the ratio lie within 3 ulp of a 60-digit evaluation
+    # at the SNRs the config holds; gamma may read 0 only past the
+    # overflow of x, where its exact value is below 2 / sqrt(DBL_MAX)
+    s11, s12, s21, s22 = snr
+    cfg = channel.from_snr(s11, s12, s21, s21 if s22 is None else s22)
+    s = (cfg.snr11, cfg.snr12, cfg.snr21, cfg.snr22)
+    if min(s[:2]) == 0.0:
+        with pytest.raises(region.DegenerateSnrError):
+            region.b_fb_at_nf_sum_capacity(cfg)
+        with pytest.raises(region.DegenerateSnrError):
+            region.feedback_gain_ratio(cfg)
+        return
+    gamma, b_fb = region.b_fb_at_nf_sum_capacity(cfg)
+    ratio = region.feedback_gain_ratio(cfg)
+    g, b, r = feedback_gain_decimal(s)
+    assert ulps(gamma, g) <= 3.0 or (
+        gamma == 0.0 and g < 2.0 / math.sqrt(sys.float_info.max)), (gamma, g)
+    assert ulps(b_fb, b) <= 3.0, (b_fb, b)
+    assert ulps(ratio, r) <= 3.0, (ratio, r)
+
+
+def test_gain_past_x_overflow_pinned():
+    # 4 / (1/SNR11 + 1/SNR12) overflows: 1 - gamma is its limit 1, not
+    # inf / inf
+    cfg = channel.from_snr(1e308, 1e308, 1, 1)
+    assert region.b_fb_at_nf_sum_capacity(cfg) == (0.0, 5.0)
+    assert region.feedback_gain_ratio(cfg) == 1.0 + 2.0 / 3.0
 
 
 @given(pos_snr, pos_snr, pos_snr, pos_snr)
