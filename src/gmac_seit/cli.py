@@ -122,10 +122,16 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
+def _check_points(points: int) -> None:
+    if points < 0:
+        raise ValueError(f"--points must be nonnegative, got {points}")
+
+
 def cmd_sumcap(args) -> int:
     cfg = channel.from_snr(*args.snr)
     if args.bmax is not None and not 0.0 <= args.bmax < math.inf:
         raise ValueError("--bmax must be finite and nonnegative")
+    _check_points(args.points)
     bmax = args.bmax if args.bmax is not None else channel.max_energy_rate(cfg)
     grid = np.linspace(0.0, bmax, args.points)
     names = ("b", "rsum_fb", "rsum_nf")
@@ -143,11 +149,17 @@ def cmd_sumcap(args) -> int:
 def cmd_ratio(args) -> int:
     # co-located sweep: transmitter i has the same SNR toward both receivers;
     # --asym k scales transmitter 1's SNR to k times transmitter 2's
+    for name, snr in (("--snr-min", args.snr_min), ("--snr-max", args.snr_max)):
+        if not 0.0 < snr < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {snr}")
+    if not 0.0 <= args.asym < math.inf:
+        raise ValueError(f"--asym must be finite and nonnegative, "
+                         f"got {args.asym}")
+    _check_points(args.points)
     grid = np.logspace(math.log10(args.snr_min), math.log10(args.snr_max),
                        args.points)
     # the limit at the --asym asked for, not at the config's SNR21 / SNR22
-    # (from_snr refuses a negative --asym at the first row)
-    limit = region.gain_ratio_limit_high_snr(max(args.asym, 0.0))
+    limit = region.gain_ratio_limit_high_snr(args.asym)
     rows = [(s, region.feedback_gain_ratio(channel.from_snr(
         args.asym * s, s, args.asym * s, s)), limit) for s in grid]
     _write_table(args.out, args.format, ("snr", "ratio", "limit_high_snr"),

@@ -447,7 +447,17 @@ def test_exit_codes(tmp_path, capsys):
                         str(tmp_path / "past.csv")] + extra) == 3, extra
         assert not (tmp_path / "past.csv").exists()
     # a report that overflowed to nan is refused before its file is opened
-    # (an explicit epsilon, as the default one overflows at the second SNRs)
+    # (an explicit epsilon, as the default one overflows at these SNRs)
+    capsys.readouterr()
+    assert run_cli(["simulate", "--snr", "1e308,0,1e308,1e308", "--beta",
+                    "1,1", "--rate", "0,0", "--n", "5", "--trials", "2",
+                    "--epsilon", "1", "--out", str(tmp_path / "sim.json")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("invalid arguments: mean_b is nan; "
+                       "no data file written\n")
+    # where phi's two sides both overflow, rho* is refused by name, not
+    # bisected on nan as if it had a sign (it read 0.9999999999995453)
     for snr, rate in (("1e308,1e308,1,1", "0,0"),
                       ("1e308,1e308,1e308,1e308", "0.1,0.1")):
         capsys.readouterr()
@@ -456,8 +466,8 @@ def test_exit_codes(tmp_path, capsys):
                         "--out", str(tmp_path / "sim.json")]) == 2, snr
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == ("invalid arguments: mean_b is nan; "
-                           "no data file written\n")
+        assert out.err == ("invalid arguments: phi is nan at rho = 0.0: its "
+                           "terms overflow float64 at these SNRs\n")
     # a default epsilon of 1% of an overflowed mean energy rate is refused,
     # not compared against (it read outage_hat 0.0 with exit 0)
     capsys.readouterr()
@@ -470,10 +480,10 @@ def test_exit_codes(tmp_path, capsys):
     assert out.err.startswith("invalid arguments: mean energy rate is nan")
     assert "--epsilon" in out.err and out.err.count("\n") == 1
     assert not (tmp_path / "sim.json").exists()
-    # with five messages each, the overflowed coder is refused at decoding
+    # with five messages, the overflowed coder is refused at decoding
     capsys.readouterr()
-    assert run_cli(["simulate", "--snr", "1e308,1e308,1,1", "--beta", "1,1",
-                    "--rate", "0.5,0.5", "--n", "5", "--trials", "2",
+    assert run_cli(["simulate", "--snr", "1e300,1e308,1e308,1", "--beta",
+                    "0.5,1", "--rate", "0.5,0", "--n", "5", "--trials", "2",
                     "--out", str(tmp_path / "sim.json")]) == 2
     out = capsys.readouterr()
     assert out.out == ""
@@ -576,7 +586,10 @@ def test_region_non_finite_bounds_rejected(tmp_path, capsys):
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_table_rejected(tmp_path, capsys, argv, fmt):
-    # the closed forms overflow at these SNRs; no inf or nan row is written
+    # the closed forms overflow at these SNRs; no inf or nan row is written.
+    # sumcap's rho* is refused first, as both sides of phi overflow
+    reason = ("no data file written" if argv[0] == "ratio"
+              else "overflow float64 at these SNRs")
     out = tmp_path / f"table.{fmt}"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -585,7 +598,31 @@ def test_non_finite_table_rejected(tmp_path, capsys, argv, fmt):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("invalid arguments: ") and err.count("\n") == 1
-    assert "no data file written" in err
+    assert reason in err
+
+
+@pytest.mark.parametrize("argv,name", [
+    # no row reaches from_snr's check: it exited 0 with a header-only file
+    (["ratio", "--points", "0", "--asym", "-1"], "--asym"),
+    (["ratio", "--asym", "nan"], "--asym"),
+    (["ratio", "--asym", "inf"], "--asym"),
+    # math.log10's "math domain error"
+    (["ratio", "--snr-min", "0"], "--snr-min"),
+    (["ratio", "--points", "0", "--snr-min", "-1"], "--snr-min"),
+    (["ratio", "--snr-max", "-1"], "--snr-max"),
+    (["ratio", "--snr-max", "inf"], "--snr-max"),
+    (["ratio", "--snr-min", "nan"], "--snr-min"),
+    # numpy's "Number of samples, -1, must be non-negative."
+    (["ratio", "--points", "-1"], "--points"),
+    (["sumcap", "--snr", "10,10,10,10", "--points", "-1"], "--points"),
+])
+def test_table_flags_checked_before_rows(tmp_path, capsys, argv, name):
+    out = tmp_path / "table.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid arguments: {name} must be ")
+    assert err.count("\n") == 1
 
 
 def test_simulate_trials_beyond_spawn_keys_rejected(tmp_path, capsys):

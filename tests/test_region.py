@@ -79,6 +79,19 @@ def test_rho_star_zero_branch():
     assert region.solve_rho_star(channel.from_snr(0, 10, 1, 1), 1.0, 1.0) == 0.0
 
 
+def test_rho_star_refuses_nan_phi():
+    # both sides of phi overflow, so phi is inf - inf = nan, which has no
+    # sign; the bisection once took it for one and read 0.9999999999995453
+    cfg = channel.from_snr(1e308, 1e308, 1, 1)
+    assert math.isnan(region.phi(cfg, 1.0, 1.0, 0.5))
+    with pytest.raises(ValueError, match="phi is nan .* overflow float64"):
+        region.solve_rho_star(cfg, 1.0, 1.0)
+    # where only the product side overflows, phi is -inf, which has one
+    cfg = channel.from_snr(1e300, 1e300, 1, 1)
+    assert region.phi(cfg, 1.0, 1.0, 0.0) == -math.inf
+    assert 0.0 < region.solve_rho_star(cfg, 1.0, 1.0) < 1.0
+
+
 def test_rho_star_symmetry():
     assert region.solve_rho_star(SYM10, 0.3, 0.7) == \
         pytest.approx(region.solve_rho_star(SYM10, 0.7, 0.3), abs=1e-11)
@@ -1114,6 +1127,14 @@ def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
     # same rows in the same order, bit for bit
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    # so too in chunks of one run of equal b, and of 37 points, where every
+    # chunk after the first drops what the staircase carried in dominates
+    with pytest.MonkeyPatch.context() as mp:
+        for size in (1, 37):
+            mp.setattr(region, "_chunk_points", lambda n: size)
+            got = region.boundary_table(cfg, fb, res)
+            assert got.shape == want.shape, size
+            assert got.tobytes() == want.tobytes(), size
 
 
 @pytest.mark.parametrize("snr", [(10, 10, 0, 10), (10, 10, 10, 10),
@@ -1210,6 +1231,80 @@ def test_pareto_filter_matches_brute_force(xs, ys, cuts):
     got = [lo + region._pareto_filter(xs[lo:hi], ys[lo:hi], stair)
            for lo, hi in zip([0] + cuts, cuts + [len(xs)])]
     assert np.concatenate(got).tolist() == want
+
+
+@st.composite
+def staircases(draw):
+    """(fx, fy) as _pareto_filter carries them: 1 to 3 steps, fx rising over
+    a span of 1e-12 to 1e3 from a left end in [0, 1e3], the middle step, if
+    any, anywhere or on a bin edge of _stair_floor, and fy falling."""
+    lo = draw(st.sampled_from([0.0, 1.0, 166.07350289956085, 1e3])
+              | st.floats(0.0, 1e3))
+    hi = lo + 10.0 ** draw(st.floats(-12.0, 3.0))
+    w = (hi - lo) / region._STAIR_BINS
+    mid = draw(st.integers(1, region._STAIR_BINS - 1).map(lambda j: lo + w * j)
+               | unit.map(lambda u: lo + u * (hi - lo)))
+    fx = [[lo], [lo, hi], [lo, mid, hi]][draw(st.integers(0, 2))]
+    fx = sorted(set(fx))
+    fy = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=len(fx),
+                              max_size=len(fx), unique=True)), reverse=True)
+    return fx, fy
+
+
+@given(staircases())
+# a bin width below the ulp of x: the last edge rounds back onto the last
+# step, and an edge read without the slack bin onto a point left of x
+@example(([166.07350289956085, 166.07350289956156], [1e-13, 0.0]))
+@example(([1e3, 1e3 + 1e-12], [1.0, 0.0]))
+# a step on bin edge 115: x one ulp right of it rounds into bin 114
+@example(([0.00063629719795948, 0.0048323964703143735, 0.00997717905641907],
+          [2.0, 1.0, 0.0]))
+@example(([0.0, 1e-322], [1.0, 0.5]))  # the bin width underflows to 0
+@settings(max_examples=300, deadline=None)
+def test_stair_floor_bounds_the_staircase(stair):
+    # f(x) <= F(x) = max{fy : fx >= x}, -inf past the last step, on, beside
+    # and between the bin edges, at the steps, and past either end
+    fx, fy = np.array(stair[0]), np.array(stair[1] + [-math.inf])
+    f = region._stair_floor([fx, fy])
+    w = (fx[-1] - fx[0]) / region._STAIR_BINS
+    if f is None:
+        assert not 0.0 < w < math.inf
+        return
+    edges = (fx[0] + w * np.arange(region._STAIR_BINS + 2)).tolist()
+    at = edges + fx.tolist()
+    x = np.array(at + [math.nextafter(v, to) for v in at
+                       for to in (-math.inf, math.inf)]
+                 + [(a + b) / 2 for a, b in zip(edges, edges[1:])]
+                 + [-math.inf, -1.0, fx[0] - w, fx[-1] + w, 2.0 * fx[-1] + 1.0,
+                    math.inf])
+    want = [max([h for s, h in zip(fx, fy) if s >= v], default=-math.inf)
+            for v in x.tolist()]
+    got = f(x)
+    assert [(v, g, h) for v, g, h in zip(x.tolist(), got.tolist(), want)
+            if not g <= h] == []
+
+
+@pytest.mark.parametrize("snr", [(10, 10, 10, 10), (10, 3, 2, 5)])
+@pytest.mark.parametrize("fb", [True, False])
+def test_boundary_chunks_drop_rows_under_staircase(snr, fb, monkeypatch):
+    # the chunks' drop is in force: fewer rows reach _pareto_filter, and the
+    # same table comes out as with no bound at all
+    cfg = channel.from_snr(*snr)
+    filter_rows = region._pareto_filter
+    rows = []
+
+    def counted(xs, ys, stair):
+        rows.append(len(xs))
+        return filter_rows(xs, ys, stair)
+
+    monkeypatch.setattr(region, "_pareto_filter", counted)
+    monkeypatch.setattr(region, "_chunk_points", lambda n: 37)
+    got = region.boundary_table(cfg, fb, 12).tobytes()
+    with_drop = sum(rows)
+    rows.clear()
+    monkeypatch.setattr(region, "_stair_floor", lambda stair: None)
+    assert region.boundary_table(cfg, fb, 12).tobytes() == got
+    assert with_drop < sum(rows), (with_drop, sum(rows))
 
 
 @pytest.mark.parametrize("cfg", [SYM10, channel.from_snr(10, 10, 0, 10),
