@@ -32,20 +32,23 @@ terms free of its coordinate once.
 The boundary is a 3-D maxima sweep over the two sum-rate corners of each
 grid point's box, one row per point where the two are equal (a slack sum
 bound).  The rows are ordered by (-b, -r2, -r1, row index): the grid is
-sorted by -b with an unstable SIMD argsort and each run of equal b is put
-back in index order.  The rest streams through the b-sorted points in
-chunks of whole runs of equal b, about a sixteenth of the grid each:
-a chunk's corners are formed from the r1 and r2 planes and the rsum grid,
-cheap stable passes order its ties in r2 and r1, and a block-wise sweep
-keeps the rows that no earlier row dominates, its staircase carried from
-chunk to chunk.  Before it gathers rsum, each chunk after the first drops
-the points, and then the corners, that lie under a binned lower bound of
-that staircase: each is weakly dominated by a kept row of an earlier
-chunk, whose b is strictly larger, so no kept row and no order moves, and
-at res 48 about two thirds of the rows are never sorted.  So only b, rsum
-and the b order are grid-sized; where every b is equal (SNR21 = 0, say)
-the one chunk is the whole grid.  The kept rows form one (K, 6) array
-that the CLI writes formatting each distinct value of a column once.
+sorted by -b with an unstable SIMD argsort and each run of equal b is
+put back in index order.  The rest streams through the b-sorted points
+in chunks of whole runs of equal b, about a sixteenth of the grid each:
+a chunk's corners are formed from the r1 and r2 planes and the rsum
+grid, its rows' r1 and sort keys gathered at the corners that are rows,
+cheap stable passes order its ties in r2 and r1, and a sweep in blocks
+of 384 rows keeps the rows that no earlier row dominates, merging each
+block's new rows into its staircase with one sort of complex keys and
+carrying that staircase from chunk to chunk.  Before it gathers rsum,
+each chunk after the first drops the points, and then the corners, that
+lie under a binned lower bound of that staircase: each is weakly
+dominated by a kept row of an earlier chunk, whose b is strictly larger,
+so no kept row and no order moves, and at res 48 about two thirds of the
+rows are never sorted.  So only b, rsum and the b order are grid-sized;
+where every b is equal (SNR21 = 0, say) the one chunk is the whole grid.
+The kept rows form one (K, 6) array that the CLI writes formatting each
+distinct value of a column once.
 """
 from __future__ import annotations
 
@@ -747,7 +750,11 @@ def gain_ratio_limit_high_snr(eta: float) -> float:
 # boundary sampling and serialization
 
 
-_PARETO_BLOCK = 1024  # rows per block of the sweep in _pareto_filter
+# rows per block of the sweep in _pareto_filter: with 1024-row blocks, at
+# res 48 (SNRs in [10^0.5, 10^1.5]) nine blocks in ten end at their
+# _PARETO_LIVE-th survivor, after a median of about 370 rows, so a longer
+# block searches and compares rows that the next block searches again
+_PARETO_BLOCK = 384
 _PARETO_LIVE = 128  # most rows a block compares pairwise
 _PARETO_UPPER = np.triu(np.ones((_PARETO_LIVE, _PARETO_LIVE), bool), 1)
 
@@ -761,7 +768,11 @@ def _pareto_filter(xs: np.ndarray, ys: np.ndarray, stair: list) -> np.ndarray:
     the sweep only compares (r1, r2): against the staircase of rows kept in
     earlier blocks, then pairwise among the surviving rows of its own
     block.  A block ends early at its _PARETO_LIVE-th survivor, so the
-    pairwise test stays small however many rows the staircase lets through.
+    pairwise test stays small however many rows the staircase lets through;
+    where a block ends changes no verdict.  A block's new rows join the
+    staircase through one in-place sort of the complex keys -(x + iy) of
+    its steps and those rows (x descending, then y descending), in buffers
+    that grow with the staircase.
 
     The rows may come in pieces, one call each: stair, a list that starts
     empty, then carries the staircase of every earlier piece's kept rows
@@ -771,6 +782,7 @@ def _pareto_filter(xs: np.ndarray, ys: np.ndarray, stair: list) -> np.ndarray:
     # maxima of the kept (r1, r2): fx ascending, fy strictly decreasing,
     # with a -inf sentinel past the last step
     fx, fy = stair or (np.empty(0), np.array([-np.inf]))
+    cap = 0
     start = 0
     while start < len(xs):
         x = xs[start:start + _PARETO_BLOCK]
@@ -789,32 +801,48 @@ def _pareto_filter(xs: np.ndarray, ys: np.ndarray, stair: list) -> np.ndarray:
         start += len(x)
         if not len(new):
             continue
-        # new staircase: scan old steps and new rows by x descending and
-        # keep each point higher than every point before it
-        mx = np.concatenate([fx, x[new]])
-        my = np.concatenate([fy[:-1], y[new]])
-        s = np.lexsort((-my, -mx))
-        mx, my = mx[s], my[s]
-        step = np.ones(len(my), dtype=bool)
-        step[1:] = my[1:] > np.maximum.accumulate(my)[:-1]
-        fx = mx[step][::-1]
-        fy = np.append(my[step][::-1], -np.inf)
+        # the merge's buffers, reused while the staircase and the new rows
+        # fit, else made twice the size needed
+        n, m = len(fx), len(fx) + len(new)
+        if m > cap:
+            cap = 2 * m
+            key, low = np.empty(cap, dtype=complex), np.empty(cap)
+            step = np.ones(cap, dtype=bool)
+            sx, sy = np.empty(cap), np.empty(cap + 1)
+        k = key[:m]
+        k.real[:n], k.imag[:n] = fx, fy[:-1]
+        x.take(new, out=k.real[n:])
+        y.take(new, out=k.imag[n:])
+        np.negative(k, out=k)
+        k.sort()
+        # by x descending, a step is higher than every point before it:
+        # its -y is below their running minimum (step[0] stays True)
+        np.minimum.accumulate(k.imag, out=low[:m])
+        np.less(k.imag[1:], low[:m - 1], out=step[1:m])
+        k = k[step[:m]]
+        fx = np.negative(k.real[::-1], out=sx[:len(k)])
+        fy = sy[:len(k) + 1]
+        np.negative(k.imag[::-1], out=fy[:-1])
+        fy[-1] = -np.inf
     stair[:] = fx, fy
     return np.flatnonzero(keep)
 
 
 def _b_order(bb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pts, -bb[pts]) for pts = np.argsort(-bb, kind="stable").
+    """(pts, -bb[pts]) for pts = np.argsort(-bb, kind="stable"), taking bb:
+    it is negated in place and its buffer then holds the run keys, so the
+    sort holds one grid-sized array fewer.
 
     numpy's default argsort (SIMD where the CPU has it) orders by -b but
     leaves equal b in no set order; one integer sort of the keys
     (run of equal b) * len(bb) + point then puts each run in index order.
     """
     n = len(bb)
-    nb = np.negative(bb)
-    pts = np.argsort(nb)
-    nb = nb[pts]
-    run = np.zeros(n, dtype=np.int64)
+    np.negative(bb, out=bb)
+    pts = np.argsort(bb)
+    nb = bb[pts]
+    run = bb.view(np.int64)
+    run[:1] = 0
     np.cumsum(nb[1:] != nb[:-1], out=run[1:])
     run *= n
     pts += run
@@ -902,8 +930,11 @@ def _boundary_chunk(r1b, r2b, rsb, p, nbc, stair):
     that kept row dominates too, so the sweep keeps the same rows in the
     same order; only fewer of them are sorted and swept.
 
-    Each array is deleted once used, as one run of equal b can make the
-    chunk the whole grid."""
+    Rows 2j and 2j + 1 of the chunk's layout are the corners of p[j]; the
+    rows' r1 and sort keys are gathered at the layout positions src that
+    are rows, point src >> 1 and corner src & 1, never written for all 2m
+    positions.  Each array is deleted once used, as one run of equal b can
+    make the chunk the whole grid."""
     # the point (i1 * res + i2) * n_rho + k has flat position
     # i1 * n_rho + k in r1b and i2 * n_rho + k in r2b
     n_rho = r2b.shape[-1]
@@ -941,18 +972,22 @@ def _boundary_chunk(r1b, r2b, rsb, p, nbc, stair):
         np.greater(c1, h1, out=row[0::2])
         row[1::2] &= r2p > floor(c2)
         del h1
-    x = np.empty(2 * m)
-    x[0::2], x[1::2] = r1p, c2
-    del r1p, c2
-    # complex keys sort by the real part, then the imaginary part
-    key = np.empty(2 * m, dtype=complex)
-    key.real[0::2] = key.real[1::2] = nbc
-    np.negative(c1, out=key.imag[0::2])
-    np.negative(r2p, out=key.imag[1::2])
-    del c1, r2p
     src = np.flatnonzero(row)  # layout position of each row
-    x, key = x[row], key[row]
     del row
+    # x and the sort key are gathered at the rows only: row src is corner
+    # src & 1 of point src >> 1, (r1_max, c1) or (c2, r2_max); complex
+    # keys sort by the real part, then the imaginary part
+    j = src >> 1
+    second = (src & 1).astype(bool)
+    x = r1p.take(j)
+    np.copyto(x, c2.take(j), where=second)
+    del r1p, c2
+    key = np.empty(len(src), dtype=complex)
+    nbc.take(j, out=key.real)
+    c1.take(j, out=key.imag)
+    np.copyto(key.imag, r2p.take(j), where=second)
+    np.negative(key.imag, out=key.imag)
+    del c1, r2p, j, second
     order = np.argsort(key, kind="stable")
     key = key[order]
     xs = x[order]

@@ -179,6 +179,11 @@ def float_tables(draw):
 @example(np.array([[-0.0]]))
 @example(np.array([[0.0, -0.0, 5e-324, -1e308]]))
 @example(np.array([[0.0], [-0.0], [0.0], [-0.0]]))
+# the flat join's edges: no row (the header alone), one column (every cell
+# ends its line), and a last column of -0.0 and the least subnormal
+@example(np.empty((0, 3)))
+@example(np.array([[2.5], [1e-300], [2.5]]))
+@example(np.array([[1.0, -0.0], [0.5, 5e-324], [1.0, -0.0], [0.5, 0.0]]))
 @settings(max_examples=300, deadline=None)
 def test_write_table_csv_matches_per_row_format(table):
     # formatting each distinct value once gives the bytes of formatting
@@ -615,6 +620,14 @@ def test_non_finite_table_rejected(tmp_path, capsys, argv, fmt):
     # numpy's "Number of samples, -1, must be non-negative."
     (["ratio", "--points", "-1"], "--points"),
     (["sumcap", "--snr", "10,10,10,10", "--points", "-1"], "--points"),
+    # every row once refused with "requires SNR11 > 0 and SNR12 > 0" or
+    # "SNRs must be finite and nonnegative", naming no flag: --asym 0, and
+    # --asym * --snr-min underflowing, or --asym * --snr-max overflowing
+    (["ratio", "--asym", "0"], "--asym"),
+    (["ratio", "--asym", "1e-320", "--points", "3"], "--asym"),
+    (["ratio", "--asym", "1e300", "--snr-max", "1e10"], "--asym"),
+    # the largest float reads inf on the log grid
+    (["ratio", "--snr-max", "1.7976931348623157e308"], "--snr-max"),
 ])
 def test_table_flags_checked_before_rows(tmp_path, capsys, argv, name):
     out = tmp_path / "table.csv"

@@ -1143,9 +1143,10 @@ def test_sample_boundary_matches_brute_force_oracle(s11, s12, s21, s22, fb,
 @pytest.mark.parametrize("res", range(2, 10))
 def test_b_order_is_stable_argsort(snr, fb, res):
     # at s21 = 0 every b ties, and SYM10 ties b across the beta1 <-> beta2
-    # mirror; the unstable argsort's fix-up must give index order in a run
+    # mirror; the unstable argsort's fix-up must give index order in a run.
+    # _b_order takes its argument, so it gets a copy
     bb = flat_grid(channel.from_snr(*snr), fb, res)[6]
-    pts, nb = region._b_order(bb)
+    pts, nb = region._b_order(bb.copy())
     want = np.argsort(-bb, kind="stable")
     assert pts.tolist() == want.tolist()
     assert nb.tobytes() == (-bb[want]).tobytes()
@@ -1154,7 +1155,7 @@ def test_b_order_is_stable_argsort(snr, fb, res):
 def test_b_order_on_many_ties():
     # a few distinct values in shuffled runs, long enough for the SIMD sort
     bb = np.random.default_rng(1).integers(0, 7, 5000).astype(float)
-    assert (region._b_order(bb)[0].tolist()
+    assert (region._b_order(bb.copy())[0].tolist()
             == np.argsort(-bb, kind="stable").tolist())
 
 
@@ -1222,15 +1223,41 @@ def _pareto_cases():
                    f"coarse_{seed}")
 
 
+def staircase_of(xs, ys):
+    """The 2-D maxima of the points (xs, ys) as _pareto_filter carries
+    them: fx ascending, fy strictly falling, then a -inf sentinel."""
+    pts = sorted(set(zip(xs.tolist(), ys.tolist())), reverse=True)
+    fx, fy = [], []
+    for x, y in pts:  # x descending, then y descending
+        if not fy or y > fy[-1]:
+            fx.append(x)
+            fy.append(y)
+    return fx[::-1], fy[::-1] + [-math.inf]
+
+
 @pytest.mark.parametrize("xs,ys,cuts", _pareto_cases())
 def test_pareto_filter_matches_brute_force(xs, ys, cuts):
-    want = pareto_keep_brute_force(xs, ys).tolist()
-    assert region._pareto_filter(xs, ys, []).tolist() == want
-    # the same rows in pieces, the staircase carried from piece to piece
-    stair = []
-    got = [lo + region._pareto_filter(xs[lo:hi], ys[lo:hi], stair)
-           for lo, hi in zip([0] + cuts, cuts + [len(xs)])]
-    assert np.concatenate(got).tolist() == want
+    want = pareto_keep_brute_force(xs, ys)
+    want_stair = staircase_of(xs[want], ys[want])
+    # where a block ends changes no verdict: blocks of one row, and blocks
+    # of seven rows that end at their third survivor, keep the same rows
+    # and carry the same staircase
+    for block, live in [(region._PARETO_BLOCK, region._PARETO_LIVE),
+                        (1, 1), (7, 3)]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(region, "_PARETO_BLOCK", block)
+            mp.setattr(region, "_PARETO_LIVE", live)
+            stair = []
+            got = region._pareto_filter(xs, ys, stair)
+            assert got.tolist() == want.tolist(), block
+            assert [a.tolist() for a in stair] == list(want_stair), block
+            # the same rows in pieces, the staircase carried from piece to
+            # piece
+            stair = []
+            got = [lo + region._pareto_filter(xs[lo:hi], ys[lo:hi], stair)
+                   for lo, hi in zip([0] + cuts, cuts + [len(xs)])]
+            assert np.concatenate(got).tolist() == want.tolist(), block
+            assert [a.tolist() for a in stair] == list(want_stair), block
 
 
 @st.composite
